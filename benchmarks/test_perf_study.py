@@ -16,15 +16,14 @@ Default configuration is the paper preset at the benchmark scale
 ``benchmarks/conftest.py``).  The CI smoke sets
 ``REPRO_BENCH_STUDY_PRESET=small`` to keep the job short; other knobs:
 ``REPRO_BENCH_SCALE``, ``REPRO_BENCH_TERMS``, ``REPRO_BENCH_STUDY_DAYS``
-(small preset window), ``REPRO_BENCH_JOBS``, ``REPRO_BENCH_CRAWL_JOBS``
+(small preset window), ``REPRO_BENCH_CRAWL_JOBS``
 (crawl shard processes — artifacts are byte-identical at any value, so
 both legs run sharded and the cached-vs-uncached equality check doubles
 as a shard-merge check; per-shard wall times, steal counts, and cpus land
 in the ``shard`` block of the JSON).
 
-A classification-only pass also measures the classifier-fit speedup from
-``n_jobs`` threads; coefficients are identical either way
-(``tests/test_classify.py`` pins that), so only the timing is recorded.
+A classification-only pass also times one classifier fit (``fit_s``) on
+the study's labeled pages: features plus the batched one-vs-rest solve.
 
 A third pair of legs measures the *persistent* disk tier: two identical
 small-preset runs share one ``--disk-cache`` store (cold populates, warm
@@ -61,7 +60,6 @@ PRESET = os.environ.get("REPRO_BENCH_STUDY_PRESET", "paper")
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.25"))
 TERMS_PER_VERTICAL = int(os.environ.get("REPRO_BENCH_TERMS", "8"))
 DAYS = int(os.environ.get("REPRO_BENCH_STUDY_DAYS", "70"))
-FIT_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "4"))
 CRAWL_JOBS = int(os.environ.get("REPRO_BENCH_CRAWL_JOBS", "1"))
 AT_DEFAULT = not any(
     name in os.environ
@@ -186,13 +184,12 @@ def test_study_end_to_end_perf(tmp_path):
         cached_bytes = handle.read()
     assert cached_bytes == plain_bytes, "caching changed the PSR records"
 
-    # -- classifier-fit thread scaling (identical weights, see tests) --- #
+    # -- one classifier fit on the study's labeled pages ---------------- #
     fit_timing = {}
     if results.labeled_pages and len({p.campaign for p in results.labeled_pages}) >= 2:
-        for jobs in (1, FIT_JOBS):
-            t0 = time.perf_counter()
-            CampaignClassifier(n_jobs=jobs).fit(results.labeled_pages)
-            fit_timing[f"fit_s_jobs{jobs}"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        CampaignClassifier().fit(results.labeled_pages)
+        fit_timing["fit_s"] = time.perf_counter() - t0
 
     # -- persistent disk tier: cold vs warm, plus delta checkpoints ----- #
     disk = _disk_tier_block(tmp_path)
@@ -258,13 +255,10 @@ def test_study_end_to_end_perf(tmp_path):
                 f"{stats['total_s']:.2f}s over {stats['calls']} calls",
             ))
     if fit_timing:
-        base = fit_timing.get("fit_s_jobs1")
-        threaded = fit_timing.get(f"fit_s_jobs{FIT_JOBS}")
-        if base and threaded:
-            rows.append((
-                f"fit n_jobs={FIT_JOBS}", "-",
-                f"{base / threaded:.2f}x vs n_jobs=1",
-            ))
+        rows.append((
+            f"classifier fit ({len(results.labeled_pages)} pages)", "-",
+            f"{fit_timing['fit_s']:.2f}s",
+        ))
     print_comparison("Study end-to-end (cached vs uncached)", rows)
 
     assert len(results.dataset) > 0

@@ -40,9 +40,7 @@ def main() -> None:
     print("\nPer-campaign model sparsity and most-predictive features:")
     names = classifier.vocabulary.names()
     rows = []
-    for campaign in classifier.classes:
-        model = classifier.model._models[campaign]
-        weights = model.weights
+    for campaign, weights in zip(classifier.classes, classifier.model.coef_):
         nonzero = int(np.count_nonzero(weights))
         top = np.argsort(-weights)[:3]
         top_features = ", ".join(names[i] for i in top if weights[i] > 0)

@@ -41,13 +41,10 @@ class CampaignClassifier:
     """Vocabulary + one-vs-rest L1 logistic regression over page HTML."""
 
     def __init__(self, lam: float = 1e-3, min_df: int = 2,
-                 confidence_threshold: float = 0.5, n_jobs: int = 1):
+                 confidence_threshold: float = 0.5):
         self.lam = lam
         self.min_df = min_df
         self.confidence_threshold = confidence_threshold
-        #: Thread count for the per-class one-vs-rest fits; any value
-        #: produces identical weights (see OneVsRestL1Logistic.fit).
-        self.n_jobs = n_jobs
         self.vocabulary: Optional[Vocabulary] = None
         self.model: Optional[OneVsRestL1Logistic] = None
 
@@ -64,7 +61,7 @@ class CampaignClassifier:
                 self.vocabulary = Vocabulary(min_df=self.min_df).fit(feature_maps)
                 X = vectorize(feature_maps, self.vocabulary)
             with TRACER.span("fit", pages=len(labeled)):
-                self.model = OneVsRestL1Logistic(lam=self.lam, n_jobs=self.n_jobs)
+                self.model = OneVsRestL1Logistic(lam=self.lam)
                 self.model.fit(X, [page.campaign for page in labeled])
         return self
 

@@ -106,7 +106,7 @@ def _add_study_args(parser: argparse.ArgumentParser) -> None:
                         help="crawl stride, days")
     parser.add_argument("--seed", type=int, default=None, help="scenario seed")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="crawl shard processes + classifier fit threads "
+                        help="crawl shard processes "
                              "(byte-identical artifacts, any value)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the content-addressed caches "
@@ -341,7 +341,6 @@ def command_run(args) -> int:
           + ")...", flush=True)
     study = StudyRun(
         config, crawl_policy=CrawlPolicy(stride_days=args.stride),
-        n_jobs=args.jobs,
         jobs=args.jobs,
         fault_profile=profile_named(args.profile) if args.profile else None,
         fault_seed=args.fault_seed,
@@ -516,7 +515,6 @@ def command_perf(args) -> int:
     PERF.reset()
     StudyRun(
         config, crawl_policy=CrawlPolicy(stride_days=args.stride),
-        n_jobs=args.jobs,
         jobs=args.jobs,
     ).execute()
     print(PERF.format_table(top=args.top))
@@ -538,7 +536,6 @@ def command_trace(args) -> int:
     start = perf_counter()
     results = StudyRun(
         config, crawl_policy=CrawlPolicy(stride_days=args.stride),
-        n_jobs=args.jobs,
         jobs=args.jobs,
     ).execute()
     wall_s = perf_counter() - start
@@ -589,7 +586,6 @@ def command_chaos(args) -> int:
         return StudyRun(
             _config_for(args),
             crawl_policy=CrawlPolicy(stride_days=args.stride),
-            n_jobs=args.jobs,
             jobs=args.jobs,
             fault_profile=fault_profile,
             fault_seed=args.fault_seed,

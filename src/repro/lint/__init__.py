@@ -1,7 +1,7 @@
 """``repro.lint`` — AST-based determinism & concurrency-safety analyzer.
 
 The reproduction's claims rest on bit-exact reruns (golden SERPs,
-``n_jobs``-independent fits); this package enforces the hazard classes the
+``--jobs``-independent runs); this package enforces the hazard classes the
 codebase has actually hit — most notably PR 1's ``id()``-recycling cache
 bug — mechanically instead of by review.  Run it with::
 

@@ -1,10 +1,12 @@
 """D007 — module-level state written from executor workers.
 
-The ``n_jobs`` regions (OvR fits in ``classify/linear.py``, CV folds in
-``classify/crossval.py``) promise bit-identical results at any thread
-count.  That holds only while workers are pure: read shared inputs,
-return results, merge in the caller.  A worker writing module-level state
-races under threads and silently diverges under a future process pool.
+No executor region ships today: the classifier's one-vs-rest fits and CV
+folds, which once ran on thread pools, now run in one batched solve and a
+plain loop.  The rule guards the next pool.  A pool promises the same
+results at any worker count only while its workers are pure: read shared
+inputs, return results, merge in the caller.  A worker writing
+module-level state races under threads and silently diverges under a
+process pool.
 
 The analysis is module-local: find every callable handed to an
 ``Executor.submit``/``Executor.map`` call, close over same-module

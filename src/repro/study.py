@@ -175,7 +175,6 @@ class StudyRun:
         classifier_lam: float = 1e-3,
         confidence_threshold: float = 0.5,
         classify: bool = True,
-        n_jobs: int = 1,
         jobs: int = 1,
         fault_profile: Optional[FaultProfile] = None,
         fault_seed: int = 0,
@@ -193,10 +192,6 @@ class StudyRun:
         self.classifier_lam = classifier_lam
         self.confidence_threshold = confidence_threshold
         self.classify = classify
-        #: Thread count for classifier fits; attribution results are
-        #: identical for any value (the per-class fits are independent and
-        #: deterministic) — see ``tests/test_serp_determinism.py``.
-        self.n_jobs = n_jobs
         #: Crawl shard processes.  Artifacts are byte-identical for any
         #: value — the shard pool merges worker results in canonical order
         #: (see repro.perf.shardpool; pinned in tests/test_shardpool.py).
@@ -358,7 +353,6 @@ class StudyRun:
                     classifier_factory=lambda: CampaignClassifier(
                         lam=self.classifier_lam,
                         confidence_threshold=self.confidence_threshold,
-                        n_jobs=self.n_jobs,
                     ),
                     labeled=labeled,
                     unlabeled=unlabeled,

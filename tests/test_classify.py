@@ -19,7 +19,14 @@ from repro.classify import (
     kfold_indices,
     vectorize,
 )
-from repro.classify.linear import soft_threshold
+from repro.classify.linear import (
+    _log1pexp,
+    _loss,
+    _margins,
+    _rowdot,
+    _squares,
+    soft_threshold,
+)
 from repro.seo.templates import assign_theme
 
 
@@ -143,12 +150,23 @@ class TestL1Logistic:
         with pytest.raises(ValueError):
             L1LogisticRegression(lam=-1.0)
 
+    def test_refit_resets_n_iter(self):
+        """A refit that takes no step reports zero iterations, not the
+        previous fit's count."""
+        X, y, _ = _toy_problem()
+        model = L1LogisticRegression(lam=1e-3, max_iter=8).fit(X, y)
+        assert model.n_iter_ == 8
+        model.max_iter = 0
+        model.fit(X, y)
+        assert model.n_iter_ == 0
+        assert not model.weights.any() and model.bias == 0.0
 
-def _reference_fit(lam, max_iter, tol, X, y):
+
+def _reference_fit(lam, max_iter, tol, X, y, with_n_iter=False):
     """The seed's ISTA loop, line for line: ``_objective``/``_gradient``
     recompute ``X @ w + b`` from scratch on every call, where the shipped
-    ``fit`` carries the margins across iterations.  Both must land on the
-    same bits."""
+    solver carries the margins across iterations.  Both must land on the
+    same bits.  ``with_n_iter`` also returns the accepted-step count."""
     model = L1LogisticRegression(lam=lam, max_iter=max_iter, tol=tol)
     y = np.asarray(y, dtype=np.float64)
     if set(np.unique(y).tolist()) <= {0.0, 1.0}:
@@ -156,6 +174,7 @@ def _reference_fit(lam, max_iter, tol, X, y):
     w = np.zeros(X.shape[1])
     b = 0.0
     step = 1.0
+    n_iter = 0
     objective = model._objective(X, y, w, b)
     for _ in range(max_iter):
         grad_w, grad_b = model._gradient(X, y, w, b)
@@ -179,16 +198,18 @@ def _reference_fit(lam, max_iter, tol, X, y):
             step *= 0.5
         if not improved:
             break
+        n_iter += 1
         if objective - new_objective < tol * max(1.0, abs(objective)):
             w, b, objective = w_new, b_new, new_objective
             break
         w, b, objective = w_new, b_new, new_objective
         step = min(step * 1.5, 1e4)
-    return w, b
+    return (w, b, n_iter) if with_n_iter else (w, b)
 
 
 class TestBatchedFitBitIdentity:
-    """The carried-margins proximal loop is bit-identical to the seed's."""
+    """The batched, carried-margins proximal solver is bit-identical to the
+    seed's per-class loop."""
 
     @pytest.mark.parametrize("lam", [1e-4, 1e-3, 5e-2])
     def test_weights_bit_identical_to_reference(self, lam):
@@ -198,15 +219,46 @@ class TestBatchedFitBitIdentity:
         assert np.array_equal(model.weights, ref_w)
         assert model.bias == ref_b
 
-    def test_ovr_bit_identical_across_jobs(self):
-        rng = np.random.RandomState(11)
-        X = sparse.csr_matrix(rng.randn(180, 25))
-        labels = [("a", "b", "c")[i % 3] for i in range(180)]
-        seq = OneVsRestL1Logistic(lam=1e-3, n_jobs=1).fit(X, labels)
-        par = OneVsRestL1Logistic(lam=1e-3, n_jobs=4).fit(X, labels)
-        for cls in seq.classes_:
-            assert np.array_equal(seq._models[cls].weights, par._models[cls].weights)
-            assert seq._models[cls].bias == par._models[cls].bias
+    def test_batched_primitives_match_per_class_arithmetic(self):
+        """The row-wise forms the solver batches with give, row for row, the
+        bits of the 1-D expressions a lone fit evaluates."""
+        rng = np.random.RandomState(7)
+        X = sparse.random(230, 580, density=0.09, format="csr", random_state=rng)
+        w, delta = rng.randn(6, 580), rng.randn(6, 580)
+        b, y = rng.randn(6), np.where(rng.rand(6, 230) < 0.5, 1.0, -1.0)
+        margins = _margins(X, w, b)
+        losses = _loss(y, margins)
+        dots = _rowdot(w, delta)
+        for k in range(6):
+            assert np.array_equal(margins[k], X @ w[k] + float(b[k]))
+            assert losses[k] == float(np.mean(_log1pexp(-y[k] * margins[k])))
+            assert dots[k] == float(w[k] @ delta[k])
+        steps = rng.randn(20000)
+        assert _squares(steps).tolist() == [v ** 2 for v in steps.tolist()]
+
+    def test_ovr_bit_identical_to_reference_per_class(self):
+        """One batched fit of five classes equals five lone reference fits,
+        with classes leaving the batch at different iterations: three by
+        the ``tol`` rule, two at the ``max_iter`` cap."""
+        rng = np.random.RandomState(1)
+        centers = rng.randn(5, 12) * np.array([[3.0], [2.0], [1.0], [0.5], [0.2]])
+        rows, labels = [], []
+        for label, center in zip("abcde", centers):
+            rows.append(rng.randn(40, 12) * 0.7 + center)
+            labels.extend([label] * 40)
+        X = sparse.csr_matrix(np.vstack(rows))
+        lam, max_iter, tol = 1e-3, 40, 1e-4
+        model = OneVsRestL1Logistic(lam=lam, max_iter=max_iter, tol=tol).fit(X, labels)
+        for k, cls in enumerate(model.classes_):
+            y = np.where(np.asarray(labels) == cls, 1.0, -1.0)
+            ref_w, ref_b, ref_n_iter = _reference_fit(
+                lam, max_iter, tol, X, y, with_n_iter=True)
+            assert np.array_equal(model.coef_[k], ref_w), cls
+            assert model.intercept_[k] == ref_b, cls
+            assert model.n_iter_[k] == ref_n_iter, cls
+        stops = sorted(model.n_iter_.tolist())
+        assert stops[-2:] == [max_iter, max_iter]
+        assert len(set(stops[:3])) > 1 and stops[2] < max_iter
 
 
 class TestOneVsRest:

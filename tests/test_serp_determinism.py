@@ -1,12 +1,8 @@
 """Study-level determinism locks.
 
-Two guarantees the perf work must not erode:
-
-* a fixed scenario seed reproduces the *entire* measurement bit for bit —
-  the PSR dataset and the Table 1/2 aggregates built from it; and
-* ``n_jobs`` changes wall-clock only: threaded classifier fits yield the
-  same per-class weights and the same attribution for every record as the
-  sequential path.
+A fixed scenario seed reproduces the *entire* measurement bit for bit:
+the PSR dataset and the Table 1/2 aggregates built from it, and the
+classifier weights and per-record attribution behind them.
 """
 
 from __future__ import annotations
@@ -20,11 +16,10 @@ from repro.ecosystem import small_preset
 from repro.study import StudyRun
 
 
-def _run(n_jobs: int = 1):
+def _run():
     return StudyRun(
         small_preset(),
         crawl_policy=CrawlPolicy(stride_days=2),
-        n_jobs=n_jobs,
     ).execute()
 
 
@@ -33,13 +28,16 @@ def baseline():
     return _run()
 
 
+@pytest.fixture(scope="module")
+def repeat():
+    return _run()
+
+
 def _record_rows(results):
     return [record.to_json() for record in results.dataset.records]
 
 
-def test_same_seed_reproduces_dataset_and_tables(baseline):
-    repeat = _run()
-
+def test_same_seed_reproduces_dataset_and_tables(baseline, repeat):
     assert _record_rows(repeat) == _record_rows(baseline)
 
     base_agg = DailyAggregates(baseline.dataset)
@@ -55,24 +53,20 @@ def test_same_seed_reproduces_dataset_and_tables(baseline):
     )
 
 
-def test_n_jobs_does_not_change_results(baseline):
-    threaded = _run(n_jobs=4)
-
-    assert baseline.classifier is not None and threaded.classifier is not None
+def test_same_seed_reproduces_classifier_weights(baseline, repeat):
+    assert baseline.classifier is not None and repeat.classifier is not None
     base_model = baseline.classifier.model
-    threaded_model = threaded.classifier.model
-    assert threaded_model.classes_ == base_model.classes_
-    for cls in base_model.classes_:
-        seq = base_model._models[cls]
-        par = threaded_model._models[cls]
-        assert np.array_equal(par.weights, seq.weights), cls
-        assert par.bias == seq.bias, cls
+    repeat_model = repeat.classifier.model
+    assert repeat_model.classes_ == base_model.classes_
+    assert np.array_equal(repeat_model.coef_, base_model.coef_)
+    assert np.array_equal(repeat_model.intercept_, base_model.intercept_)
+    assert np.array_equal(repeat_model.n_iter_, base_model.n_iter_)
 
-    assert baseline.attribution is not None and threaded.attribution is not None
+    assert baseline.attribution is not None and repeat.attribution is not None
     assert (
-        threaded.attribution.host_predictions
+        repeat.attribution.host_predictions
         == baseline.attribution.host_predictions
     )
-    assert [r.campaign for r in threaded.dataset.records] == [
+    assert [r.campaign for r in repeat.dataset.records] == [
         r.campaign for r in baseline.dataset.records
     ]
