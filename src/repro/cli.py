@@ -259,9 +259,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "compare", help="diff two ledger records metric by metric"
     )
     _add_ledger_args(compare)
-    compare.add_argument("ref_a", help="record: index (-1 = latest) or "
-                                       "run-id prefix")
-    compare.add_argument("ref_b", help="record: index or run-id prefix")
+    compare.add_argument("ref_a", help="record: an integer shorter than six "
+                                       "characters is an index (-1 = latest); "
+                                       "anything else is a run-id prefix")
+    compare.add_argument("ref_b", help="record: index or run-id prefix, "
+                                       "read as for ref_a")
 
     cache = sub.add_parser(
         "cache", help="inspect, validate, or clear the persistent disk cache"

@@ -99,7 +99,9 @@ class VanGogh:
         if src:
             try:
                 landing = self._fetch(src, SEARCH_USER, day)
-            except Exception:
+            except ValueError:
+                # A malformed src (FetchError is a ValueError): the page
+                # still cloaks, but there is no landing to follow.
                 landing = None
         return VanGoghResult(
             url=url,

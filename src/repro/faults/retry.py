@@ -28,6 +28,7 @@ from repro.util.perf import PERF
 from repro.util.rng import derive_seed
 from repro.util.simtime import SimDate
 from repro.web.fetch import Response, STATUS_UNREACHABLE, VisitorProfile
+from repro.web.hosting import FetchError
 from repro.web.urls import parse_url
 from repro.faults.injector import FAULT_IP_BLOCK, TRANSIENT_FAULTS
 
@@ -77,15 +78,20 @@ class ResilientFetcher:
 
     def fetch(self, url: str, profile: VisitorProfile, day) -> Response:
         """Fetch with injection, retries, and breaker — same signature as
-        :meth:`Web.fetch`, so detectors take it as a drop-in fetcher."""
+        :meth:`Web.fetch`, so detectors take it as a drop-in fetcher.  A
+        malformed URL raises :class:`~repro.web.hosting.FetchError`, as
+        :meth:`Web.fetch` does."""
         injector = getattr(self.web, "fault_injector", None)
         if injector is None:
             return self.web.fetch(url, profile, day)
+        try:
+            host = parse_url(url).host
+        except ValueError as exc:
+            raise FetchError(str(exc)) from exc
         day = SimDate(day)
         if day.ordinal != self._day_ordinal:
             self._day_ordinal = day.ordinal
             self._retries_today = 0
-        host = parse_url(url).host
         if self._breaker_refuses(host, day):
             PERF.count("faults.breaker.short_circuit")  # repro: allow-D101 ablation workers reset+merge PERF wholesale; shard workers use _TaskFetcher, never this fetcher
             return Response(

@@ -9,7 +9,7 @@ dependencies.
 """
 
 from repro.html.nodes import Element, Text, Comment, Document
-from repro.html.parser import parse_html, tokenize, Token
+from repro.html.parser import parse_html
 from repro.html.builder import PageBuilder
 
 __all__ = [
@@ -18,7 +18,5 @@ __all__ = [
     "Comment",
     "Document",
     "parse_html",
-    "tokenize",
-    "Token",
     "PageBuilder",
 ]

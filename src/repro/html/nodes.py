@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import html as _htmllib
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 #: Elements that never have children or closing tags.
 VOID_ELEMENTS = frozenset(
@@ -83,24 +83,23 @@ class Element(Node):
     def get(self, name: str, default: str = "") -> str:
         return self.attrs.get(name, default)
 
-    def iter(self) -> Iterator["Element"]:
-        """Depth-first iteration over this element and all descendants."""
-        yield self
-        for child in self.children:
-            if isinstance(child, Element):
-                yield from child.iter()
+    def iter(self) -> List["Element"]:
+        """This element and all its descendants, depth-first."""
+        out: List[Element] = []
+        _collect(self, out)
+        return out
 
     def find_all(self, tag: str) -> List["Element"]:
-        return [el for el in self.iter() if el.tag == tag.lower()]
+        tag = tag.lower()
+        return [el for el in self.iter() if el.tag == tag]
 
     def find(self, tag: str) -> Optional["Element"]:
-        for el in self.iter():
-            if el.tag == tag.lower():
-                return el
-        return None
+        return _first_tagged(self, tag.lower())
 
     def text_content(self) -> str:
-        return "".join(child.text_content() for child in self.children)
+        out: List[str] = []
+        _collect_text(self, out)
+        return "".join(out)
 
     def to_html(self) -> str:
         parts = [f"<{self.tag}"]
@@ -112,7 +111,7 @@ class Element(Node):
         parts.append(">")
         if self.tag in ("script", "style"):
             # Raw-text elements: children serialize unescaped, matching how
-            # the parser tokenizes their content.
+            # the parser reads their content.
             for child in self.children:
                 if isinstance(child, Text):
                     parts.append(child.data)
@@ -126,6 +125,47 @@ class Element(Node):
 
     def __repr__(self) -> str:
         return f"Element({self.tag!r}, attrs={self.attrs!r}, children={len(self.children)})"
+
+
+def adopt(tag: str, attrs: Dict[str, str], children: List[Node]) -> Element:
+    """An element that takes ``attrs`` and ``children`` as given, without
+    the copies (or the lowercasing of ``tag``) the constructor makes: for
+    the parser, which hands over fresh containers and lowercased names."""
+    element = Element.__new__(Element)
+    element.tag = tag
+    element.attrs = attrs
+    element.children = children
+    return element
+
+
+# The tree walks below are plain recursion (cheaper than nested
+# generators); each visits nodes in document order.
+
+
+def _collect(element: Element, out: List[Element]) -> None:
+    out.append(element)
+    for child in element.children:
+        if isinstance(child, Element):
+            _collect(child, out)
+
+
+def _first_tagged(element: Element, tag: str) -> Optional[Element]:
+    if element.tag == tag:
+        return element
+    for child in element.children:
+        if isinstance(child, Element):
+            found = _first_tagged(child, tag)
+            if found is not None:
+                return found
+    return None
+
+
+def _collect_text(element: Element, out: List[str]) -> None:
+    for child in element.children:
+        if isinstance(child, Text):
+            out.append(child.data)
+        elif isinstance(child, Element):
+            _collect_text(child, out)
 
 
 class Document:
@@ -142,7 +182,7 @@ class Document:
     def body(self) -> Optional[Element]:
         return self.root.find("body")
 
-    def iter(self) -> Iterator[Element]:
+    def iter(self) -> List[Element]:
         return self.root.iter()
 
     def find_all(self, tag: str) -> List[Element]:

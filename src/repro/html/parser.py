@@ -1,9 +1,15 @@
-"""A tolerant HTML tokenizer and tree builder.
+"""A tolerant, single-pass HTML parser.
 
 Handles the HTML our generator emits plus common sloppiness (unquoted
 attributes, unclosed tags, stray close tags) so the crawlers can parse pages
 without ever raising.  ``script`` and ``style`` contents are treated as raw
 text, which matters because iframe-cloaking JavaScript lives there.
+
+:func:`parse_html` scans the source once and builds elements as it goes:
+there is no separate token stream, so a start tag becomes an
+:class:`~repro.html.nodes.Element` that owns the attribute dict scanned
+for it, and a tag with nothing between its name and ``>`` skips the
+attribute scan.
 
 ``parse_html`` stays a pure function: the content-addressed memoized
 wrapper lives in :mod:`repro.perf.cache` (``parse_html_cached``), and
@@ -13,26 +19,14 @@ directly so shared cached Documents stay frozen.
 
 from __future__ import annotations
 
-import html as _htmllib
 import re
-from typing import Dict, Iterator, List, NamedTuple, Tuple
+from html import unescape
+from typing import Dict, List, Tuple
 
-from repro.html.nodes import Comment, Document, Element, Text, VOID_ELEMENTS
+from repro.html.nodes import Comment, Document, Element, Text, VOID_ELEMENTS, adopt
 
 #: Elements whose content is raw text until the matching close tag.
 RAW_TEXT_ELEMENTS = frozenset({"script", "style"})
-
-
-class Token(NamedTuple):
-    """A lexical token: kind is one of 'start', 'end', 'text', 'comment',
-    'doctype'; for 'start' tokens, data is the tag name and attrs the
-    attribute dict; self_closing marks ``<tag/>`` forms."""
-
-    kind: str
-    data: str
-    attrs: Dict[str, str]
-    self_closing: bool
-
 
 _ATTR_RE = re.compile(
     r"""([a-zA-Z_:][-a-zA-Z0-9_:.]*)          # attribute name
@@ -45,119 +39,116 @@ _TAG_NAME_RE = re.compile(r"[a-zA-Z][-a-zA-Z0-9]*")
 
 
 def _parse_attrs(text: str) -> Tuple[Dict[str, str], bool]:
-    self_closing = text.rstrip().endswith("/")
+    """Attributes of one start tag (later duplicates overwrite in place)
+    and whether the tag ends in ``/``."""
     attrs: Dict[str, str] = {}
-    for match in _ATTR_RE.finditer(text):
-        name = match.group(1).lower()
-        if name == "/":
-            continue
-        value = next((g for g in match.groups()[1:] if g is not None), "")
-        attrs[name] = _htmllib.unescape(value)
-    return attrs, self_closing
+    # findall gives "" for a group that did not take part; at most one of
+    # the three value forms matches, and a bare value is never empty, so
+    # ``or`` picks the one that matched.
+    for name, double, single, bare in _ATTR_RE.findall(text):
+        attrs[name.lower()] = unescape(double or single or bare)
+    return attrs, text.rstrip().endswith("/")
 
 
-def tokenize(source: str) -> Iterator[Token]:
-    """Yield tokens from HTML source; never raises on malformed input."""
-    pos = 0
-    length = len(source)
-    raw_mode_tag = None
-    while pos < length:
-        if raw_mode_tag is not None:
-            close = source.find(f"</{raw_mode_tag}", pos)
-            if close == -1:
-                if pos < length:
-                    yield Token("text", source[pos:], {}, False)
-                return
-            if close > pos:
-                yield Token("text", source[pos:close], {}, False)
-            end = source.find(">", close)
-            end = length if end == -1 else end + 1
-            yield Token("end", raw_mode_tag, {}, False)
-            pos = end
-            raw_mode_tag = None
-            continue
-
-        lt = source.find("<", pos)
-        if lt == -1:
-            yield Token("text", _htmllib.unescape(source[pos:]), {}, False)
+def _close(stack: List[Element], name: str) -> None:
+    """Pop to the innermost open ``name``; a stray close (or one that
+    would close the root) is ignored."""
+    for i in range(len(stack) - 1, 0, -1):
+        if stack[i].tag == name:
+            del stack[i:]
             return
-        if lt > pos:
-            yield Token("text", _htmllib.unescape(source[pos:lt]), {}, False)
-        if source.startswith("<!--", lt):
-            close = source.find("-->", lt + 4)
-            if close == -1:
-                yield Token("comment", source[lt + 4:], {}, False)
-                return
-            yield Token("comment", source[lt + 4:close], {}, False)
-            pos = close + 3
-            continue
-        if source.startswith("<!", lt):
-            close = source.find(">", lt)
-            if close == -1:
-                return
-            yield Token("doctype", source[lt + 2:close].strip(), {}, False)
-            pos = close + 1
-            continue
-        if source.startswith("</", lt):
-            close = source.find(">", lt)
-            if close == -1:
-                return
-            name = source[lt + 2:close].strip().lower()
-            yield Token("end", name, {}, False)
-            pos = close + 1
-            continue
-        # Start tag.
-        match = _TAG_NAME_RE.match(source, lt + 1)
-        if match is None:
-            # A bare '<' in text; emit it literally and move on.
-            yield Token("text", "<", {}, False)
-            pos = lt + 1
-            continue
-        name = match.group(0).lower()
-        close = source.find(">", match.end())
-        if close == -1:
-            return
-        attrs, self_closing = _parse_attrs(source[match.end():close])
-        yield Token("start", name, attrs, self_closing)
-        pos = close + 1
-        if name in RAW_TEXT_ELEMENTS and not self_closing:
-            raw_mode_tag = name
 
 
 def parse_html(source: str) -> Document:
     """Parse HTML into a :class:`Document`; tolerant of malformed markup.
 
     Content outside any ``<html>`` element is adopted into a synthesized
-    root, so the result always has a usable tree.
+    root, so the result always has a usable tree.  The first ``<html>``
+    tag's attributes merge onto that root; a later one nests.
     """
     root = Element("html")
     stack: List[Element] = [root]
+    kids = root.children  # of the innermost open element, stack[-1]
     saw_html = False
-    for token in tokenize(source):
-        if token.kind == "text":
-            if token.data:
-                stack[-1].append(Text(token.data))
-        elif token.kind == "comment":
-            stack[-1].append(Comment(token.data))
-        elif token.kind == "doctype":
+    find = source.find
+    startswith = source.startswith
+    pos = 0
+    length = len(source)
+    while pos < length:
+        lt = find("<", pos)
+        if lt == -1:
+            data = unescape(source[pos:])
+            if data:
+                kids.append(Text(data))
+            break
+        if lt > pos:
+            data = unescape(source[pos:lt])
+            if data:
+                kids.append(Text(data))
+        if startswith("<!--", lt):
+            close = find("-->", lt + 4)
+            if close == -1:
+                kids.append(Comment(source[lt + 4:]))
+                break
+            kids.append(Comment(source[lt + 4:close]))
+            pos = close + 3
             continue
-        elif token.kind == "start":
-            if token.data == "html" and not saw_html:
-                # Merge attributes onto the synthesized root instead of
-                # nesting a second <html>.
-                saw_html = True
-                root.attrs.update(token.attrs)
-                continue
-            element = Element(token.data, token.attrs)
-            stack[-1].append(element)
-            if token.data not in VOID_ELEMENTS and not token.self_closing:
-                stack.append(element)
-        elif token.kind == "end":
-            if token.data in VOID_ELEMENTS:
-                continue
-            # Pop to the matching open tag if present; ignore stray closes.
-            for i in range(len(stack) - 1, 0, -1):
-                if stack[i].tag == token.data:
-                    del stack[i:]
-                    break
+        if startswith("<!", lt):
+            # A doctype or other declaration: dropped.
+            close = find(">", lt)
+            if close == -1:
+                break
+            pos = close + 1
+            continue
+        if startswith("</", lt):
+            close = find(">", lt)
+            if close == -1:
+                break
+            # Void elements are never open, so their close tags pop nothing.
+            _close(stack, source[lt + 2:close].strip().lower())
+            kids = stack[-1].children
+            pos = close + 1
+            continue
+        match = _TAG_NAME_RE.match(source, lt + 1)
+        if match is None:
+            # A bare '<' in text; keep it literally and move on.
+            kids.append(Text("<"))
+            pos = lt + 1
+            continue
+        name = match.group().lower()
+        end = match.end()
+        close = find(">", end)
+        if close == -1:
+            break
+        if close == end:
+            attrs: Dict[str, str] = {}
+            self_closing = False
+        else:
+            attrs, self_closing = _parse_attrs(source[end:close])
+        pos = close + 1
+        if name == "html" and not saw_html:
+            # Merge attributes onto the synthesized root instead of
+            # nesting a second <html>.
+            saw_html = True
+            root.attrs.update(attrs)
+            continue
+        element = adopt(name, attrs, [])
+        kids.append(element)
+        if self_closing or name in VOID_ELEMENTS:
+            continue
+        if name not in RAW_TEXT_ELEMENTS:
+            stack.append(element)
+            kids = element.children
+            continue
+        # Raw text runs to the first "</script" / "</style", unescaped;
+        # that close tag (whatever follows the name) ends the element.
+        close = find("</" + name, pos)
+        if close == -1:
+            if pos < length:
+                element.children.append(Text(source[pos:]))
+            break
+        if close > pos:
+            element.children.append(Text(source[pos:close]))
+        end = find(">", close)
+        pos = length if end == -1 else end + 1
     return Document(root)

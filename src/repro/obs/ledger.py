@@ -78,6 +78,10 @@ def record_metrics(record: dict) -> Dict[str, float]:
     return flatten(tree)
 
 
+#: Refs at least this long are run-id prefixes, never indexes.
+_MIN_ID_PREFIX = 6
+
+
 def record_id(record: dict) -> str:
     """12-hex-char content digest of a record (minus any existing id)."""
     stripped = {k: v for k, v in record.items() if k != "run_id"}
@@ -166,14 +170,21 @@ class RunLedger:
         return rows[-1] if rows else None
 
     def find(self, ref: str, kind: Optional[str] = None) -> dict:
-        """Resolve a record reference: an integer index (``-1`` = latest,
-        ``0`` = oldest) or a unique ``run_id`` prefix."""
+        """Resolve a record reference: an index or a unique ``run_id`` prefix.
+
+        A ref shorter than six characters that parses as an integer is an
+        index (``-1`` = latest, ``0`` = oldest); anything else is a run-id
+        prefix.  Run ids are 12 hex characters and are always printed in
+        full, so a prefix made only of digits (``"123456"``) still names a
+        run."""
         rows = self.records(kind=kind)
         if not rows:
             raise LookupError(f"{self.path}: ledger has no run records")
         try:
-            index = int(ref)
+            index = int(ref) if len(ref) < _MIN_ID_PREFIX else None
         except ValueError:
+            index = None
+        if index is None:
             matches = [r for r in rows if r.get("run_id", "").startswith(ref)]
             if not matches:
                 raise LookupError(f"no ledger record matches run id {ref!r}")

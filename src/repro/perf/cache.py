@@ -1,10 +1,10 @@
 """Content-addressed caches for the measurement hot path.
 
-Profiling a scale-0.25 study run shows ~53% of wall-clock inside
-``parse_html``: the Dagger/VanGogh crawlers, the seizure-notice miner, and
-the feature extractor each re-parse HTML that the simulated web served
-byte-identically many times over (cloaked pages rotate *content*, not
-markup, only when campaign state changes).  Every cache here is therefore
+The Dagger/VanGogh crawlers, the seizure-notice miner, and the feature
+extractor all work from parsed HTML, and the simulated web serves the same
+bytes many times over (cloaked pages rotate *content*, not markup, only
+when campaign state changes), so parsing and rendering once per distinct
+page is the point of this layer.  Every cache here is therefore
 **content-addressed**: the key is a BLAKE2b digest of the HTML string
 itself, so a page that changes hashes to a new key and stale derived values
 can never be served — no invalidation protocol is required beyond the hash.
@@ -331,9 +331,10 @@ def parse_html_cached(html: str) -> Document:
 
 
 def _render_build(html: str) -> Document:
-    # render_document only *reads* the source document (it re-parses the
-    # serialized form and mutates that private copy), so the shared DOM
-    # cache is safe to feed it.
+    # render_document never mutates the source document, so the shared DOM
+    # cache can feed it; but the rendered view shares every subtree off the
+    # root-to-body path with that cached DOM, so the values of both caches
+    # must stay frozen.
     return render_document(parse_html_cached(html))
 
 

@@ -24,8 +24,11 @@ MAX_REDIRECTS = 8
 _FETCH_TIMER = PERF.handle("web.fetch")
 
 
-class FetchError(Exception):
-    """Raised for malformed URLs; unreachable hosts return 404/502 instead."""
+class FetchError(ValueError):
+    """Raised for malformed URLs; unreachable hosts return 404/502 instead.
+
+    A :class:`ValueError`, like the URL parser's own error, so callers
+    catch one type whichever fetcher they were handed."""
 
 
 class Web:

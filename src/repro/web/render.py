@@ -237,15 +237,39 @@ def execute_script(code: str, env: Optional[Dict[str, str]] = None) -> ScriptEff
     return effects
 
 
+def _path_to_first(element: Element, tag: str) -> Optional[List[int]]:
+    """Child indexes from ``element`` down to its first (document-order)
+    descendant-or-self tagged ``tag``; None if there is none."""
+    if element.tag == tag:
+        return []
+    for i, child in enumerate(element.children):
+        if isinstance(child, Element):
+            path = _path_to_first(child, tag)
+            if path is not None:
+                path.insert(0, i)
+                return path
+    return None
+
+
 def render_document(doc: Document) -> Document:
     """Execute every script in the document and apply DOM effects.
 
     Returns a *new* Document whose body includes elements produced by
     ``document.write`` and ``appendChild`` — the view VanGogh inspects.
+    The source is never mutated: only the elements from the root down to
+    the first ``<body>`` (the root alone when there is none) are copied,
+    and every other subtree is shared with ``doc``, so the view is as
+    read-only as the source.
     """
-    rendered = parse_html(doc.to_html())
-    body = rendered.body if rendered.body is not None else rendered.root
-    for script in rendered.find_all("script"):
+    scripts = doc.find_all("script")
+    root = Element(doc.root.tag, doc.root.attrs, doc.root.children)
+    body = root
+    for i in _path_to_first(doc.root, "body") or ():
+        child = body.children[i]
+        copy = Element(child.tag, child.attrs, child.children)
+        body.children[i] = copy
+        body = copy
+    for script in scripts:
         code = script.text_content()
         if not code.strip():
             continue
@@ -253,8 +277,6 @@ def render_document(doc: Document) -> Document:
         for chunk in effects.written_html:
             fragment = parse_html(chunk)
             fragment_body = fragment.body if fragment.body is not None else fragment.root
-            for child in list(fragment_body.children):
-                body.append(child)
-        for element in effects.appended_elements:
-            body.append(element)
-    return rendered
+            body.children.extend(fragment_body.children)
+        body.children.extend(effects.appended_elements)
+    return Document(root)

@@ -7,12 +7,15 @@ simulation.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro import StudyRun
 from repro.ecosystem import Simulator, small_preset
 from repro.util.rng import RandomStreams
 from repro.util.simtime import SimDate
+from repro.web.fetch import CRAWLER, RENDERING_CRAWLER, SEARCH_USER
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +28,24 @@ def study():
 @pytest.fixture(scope="session")
 def world(study):
     return study.world
+
+
+@pytest.fixture(scope="session")
+def world_pages(world):
+    """Every distinct page the session world serves on its last day,
+    fetched as a search user, a crawler and a rendering crawler, sorted.
+
+    Fetched from a private copy of the world: some pages (order
+    confirmations) change the world that serves them."""
+    replica = pickle.loads(pickle.dumps(world))
+    pages = set()
+    for site in replica.web.sites():
+        for path in site.paths():
+            for profile in (SEARCH_USER, CRAWLER, RENDERING_CRAWLER):
+                response = replica.web.fetch(site.url(path), profile, replica.today)
+                if response.ok and response.html:
+                    pages.add(response.html)
+    return sorted(pages)
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ from repro.web.sites import Site, SiteKind, StaticPage
 from repro.seo import CloakingType, make_kit
 from repro.seo.doorways import build_doorway
 from repro.seo.templates import assign_theme
+from repro.faults import FaultInjector, ResilientFetcher, profile_named
 from repro.crawler import (
     CrawlPolicy,
     Dagger,
@@ -156,6 +157,38 @@ class TestVanGogh:
         ))
         web.add_site(site)
         assert VanGogh(web).check("http://px.com/", day0).iframe_cloaked
+
+
+class TestVanGoghMalformedIframeSrc:
+    """A kit whose iframe points at a malformed URL still cloaks; there is
+    just no landing to fetch, whichever fetcher VanGogh was handed."""
+
+    @pytest.fixture()
+    def broken_kit_web(self, day0):
+        streams = RandomStreams(78)
+        web = Web()
+        domain = web.domains.register("brokenframe.com", day0)
+        site = Site(domain, SiteKind.LEGITIMATE, authority=0.4, created_on=day0)
+        site.add_page(StaticPage("/", html="<html><body>gardening blog</body></html>"))
+        web.add_site(site)
+        build_doorway(
+            "KEY", "Uggs", ["cheap uggs"], site, compromised=True, day=day0,
+            theme=assign_theme("KEY", streams),
+            kit=make_kit(CloakingType.IFRAME, streams, "KEY-broken"),
+            landing_url=lambda: "not a url", streams=streams,
+        )
+        return web
+
+    @pytest.mark.parametrize("profile", [None, "clean"])
+    def test_cloaked_without_landing(self, broken_kit_web, day0, profile):
+        web = broken_kit_web
+        if profile is not None:
+            web.fault_injector = FaultInjector(profile_named(profile), seed=0)
+        url = f"http://brokenframe.com{_doorway_path(web, 'brokenframe.com', day0)}"
+        result = VanGogh(web, fetch=ResilientFetcher(web).fetch).check(url, day0)
+        assert result.iframe_cloaked
+        assert result.iframe_src == "not a url"
+        assert result.landing_response is None
 
 
 class TestStoreDetector:

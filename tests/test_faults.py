@@ -47,6 +47,7 @@ from repro.study import StudyRun
 from repro.util.atomicio import atomic_write
 from repro.util.simtime import SimDate
 from repro.web.fetch import SEARCH_USER, Response
+from repro.web.hosting import FetchError, Web
 
 DAY = SimDate("2014-01-10")
 
@@ -182,6 +183,14 @@ class TestResilientFetcher(unittest.TestCase):
         self.assertIsNone(response.fault)
         self.assertEqual(web.fetches, 1)
         self.assertEqual(fetcher.simulated_backoff_s, 0.0)
+
+    def test_malformed_url_raises_fetch_error(self):
+        # The same error Web.fetch raises, with or without a fault profile.
+        web = Web()
+        for injector in (None, FaultInjector(PROFILES["monsoon"], seed=0)):
+            web.fault_injector = injector
+            with self.assertRaises(FetchError):
+                ResilientFetcher(web).fetch("not a url", SEARCH_USER, DAY)
 
     def test_transient_fault_retried_then_succeeds(self):
         web = _FakeWeb(_ScriptedInjector([FAULT_TIMEOUT, FAULT_CONNECTION]))

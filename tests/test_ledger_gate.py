@@ -99,6 +99,19 @@ class TestLedgerRoundTrip:
         with pytest.raises(LookupError):
             ledger.find("99")
 
+    def test_all_digit_id_prefix_is_not_an_index(self, tmp_path):
+        # About 6% of run ids start with six decimal digits.
+        ledger = RunLedger(str(tmp_path / "ledger.jsonl"))
+        ledger.append({"run_id": "0a0000000000"})
+        ledger.append({"run_id": "123456abcdef"})
+        assert ledger.find("123456")["run_id"] == "123456abcdef"
+        assert ledger.find("123456abcdef")["run_id"] == "123456abcdef"
+        # Shorter integer refs stay indexes.
+        assert ledger.find("1")["run_id"] == "123456abcdef"
+        assert ledger.find("-2")["run_id"] == "0a0000000000"
+        with pytest.raises(LookupError, match="index 12345 out of range"):
+            ledger.find("12345")
+
     def test_flatten_keeps_numbers_drops_provenance(self):
         flat = flatten({"a": {"b": 2, "c": True, "d": "str"}, "e": 1.5})
         assert flat == {"a.b": 2, "e": 1.5}

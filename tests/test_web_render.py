@@ -1,10 +1,55 @@
 """Tests for the mini JavaScript renderer — the honest mechanism behind
 iframe-cloaking detection."""
 
+from hypothesis import given, strategies as st
+
+from repro.html.nodes import Document
 from repro.html.parser import parse_html
 from repro.web.render import execute_script, render_document
 from repro.seo.cloaking import IframeObfuscator
 from repro.util.rng import RandomStreams
+from tests.test_html import HTML_FRAGMENTS, _reference_parse, _shape
+
+
+def _reference_render(doc: Document) -> Document:
+    """The renderer before it shared subtrees: serialize the source, parse
+    it again, and append the scripts' output to the copy's body."""
+    rendered = _reference_parse(doc.to_html())
+    body = rendered.body if rendered.body is not None else rendered.root
+    for script in rendered.find_all("script"):
+        code = script.text_content()
+        if not code.strip():
+            continue
+        effects = execute_script(code)
+        for chunk in effects.written_html:
+            fragment = _reference_parse(chunk)
+            fragment_body = fragment.body if fragment.body is not None else fragment.root
+            for child in list(fragment_body.children):
+                body.append(child)
+        for element in effects.appended_elements:
+            body.append(element)
+    return rendered
+
+
+_APPEND_IFRAME = (
+    "var f = document.createElement('iframe'); f.src = 'http://s.com/';"
+    " f.width = '100%'; f.height = '100%'; document.body.appendChild(f);"
+)
+
+#: The parser's fragments plus scripts whose output lands in the body.
+_RENDER_FRAGMENTS = HTML_FRAGMENTS + [
+    "<script>document.write('<p>w</p>x<i>');</script>",
+    "<script>document.write(unescape('%3Cb%3Ek'));</script>",
+    f"<script>{_APPEND_IFRAME}</script>",
+]
+
+render_soup = st.lists(
+    st.one_of(
+        st.sampled_from(_RENDER_FRAGMENTS),
+        st.text(alphabet="<>ab /=\"'!-&;", max_size=4),
+    ),
+    max_size=40,
+).map("".join)
 
 
 class TestExecuteScript:
@@ -96,6 +141,51 @@ class TestRenderDocument:
         html = "<html><body><p>static</p></body></html>"
         rendered = render_document(parse_html(html))
         assert rendered.text_content() == parse_html(html).text_content()
+
+
+class TestRenderMatchesReference:
+    """Rendering without the serialize-and-reparse round trip changes no
+    tree."""
+
+    def test_real_pages_exactly(self, world_pages):
+        for html in world_pages:
+            rendered = render_document(parse_html(html))
+            assert _shape(rendered) == _shape(_reference_render(_reference_parse(html)))
+
+    @given(render_soup)
+    def test_fuzzed_markup_up_to_text_merging(self, source):
+        # The old round trip re-parsed serialized text, so text nodes the
+        # first parse kept apart (a stray '<', or text around a dropped
+        # declaration, a stray close tag or the first <html> tag) came
+        # back as one.
+        rendered = render_document(parse_html(source))
+        reference = _reference_render(_reference_parse(source))
+        assert _shape(rendered, merge_text=True) == _shape(reference, merge_text=True)
+
+    def test_source_document_unchanged(self, world_pages):
+        revealed = 0
+        for html in world_pages:
+            source = parse_html(html)
+            before = source.to_html()
+            iframes = len(source.find_all("iframe"))
+            rendered = render_document(source)
+            assert source.to_html() == before
+            assert len(source.find_all("iframe")) == iframes
+            revealed += len(rendered.find_all("iframe")) > iframes
+        # Cloaked doorways served to the rendering crawler are in the
+        # corpus, so some renders did append an iframe.
+        assert revealed > 0
+
+    def test_view_shares_subtrees_off_the_body_path(self):
+        html = "<html><head><title>t</title></head><body><p>x</p><script>document.write('<i>y</i>');</script></body></html>"
+        source = parse_html(html)
+        rendered = render_document(source)
+        assert rendered.root is not source.root
+        assert rendered.body is not source.body
+        assert rendered.head is source.head
+        assert rendered.body.children[0] is source.body.children[0]
+        assert [el.tag for el in source.body.children] == ["p", "script"]
+        assert [el.tag for el in rendered.body.children] == ["p", "script", "i"]
 
 
 class TestObfuscationStylesRoundTrip:
