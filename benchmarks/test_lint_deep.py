@@ -1,9 +1,9 @@
 """Static-analyzer benchmark: shallow + deep lint over the shipped tree.
 
-Runs ``repro.lint`` (per-file D001–D010) and ``repro.lint --deep``
-(interprocedural D101–D105) over ``src/`` and ``benchmarks/`` and records
-the analyzer's cost profile into ``BENCH_lint.json``: file/graph sizes
-(modules, functions, call edges, worker/merge roots) and wall time for a
+Runs ``repro.lint`` (per-file D001–D011) and ``repro.lint --deep``
+(interprocedural D102, D104, D105) over ``src/`` and ``benchmarks/`` and
+records the analyzer's cost profile into ``BENCH_lint.json``: file/graph
+sizes (modules, functions, call edges) and wall time for a
 *cold* pass (fresh summary cache) and a *warm* pass (every module summary
 served from the content-digest cache).
 
@@ -95,7 +95,6 @@ def test_lint_tree_and_record_analyzer_cost():
         [
             ("modules", "n/a", cold.stats.modules),
             ("call edges", "n/a", cold.stats.call_edges),
-            ("worker roots", "n/a", cold.stats.worker_roots),
             ("cold total", "n/a", f"{cold.stats.total_s:.2f}s"),
             (
                 "warm total",

@@ -15,13 +15,6 @@ bit-exact scores (``NoiseSource.for_serp`` delivers the batch stream one
 scalar draw at a time) — before any timing is trusted; the comparison
 then lands in ``BENCH_serp.json`` (see ``benchlib.write_bench_json``).
 
-Both the equivalence pass and the scalar-vs-columnar timing run under
-``caches_disabled()``: with the per-(term, day) SERP memo live, every
-repeat serve is a dict hit and the 'columnar' column would measure the
-cache, not the scoring path.  A third pass then times the memoized serve
-with caches on — that number (and its hit counters) lands in the JSON as
-``memo_us_per_serp``.
-
 No absolute-time assertions: CI boxes vary.  The speedup *ratio* is
 asserted only at the default scale, with a floor well under the target so
 noisy neighbours cannot flake the suite; the measured ratio is what the
@@ -39,11 +32,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.ecosystem import paper_preset
 from repro.ecosystem.simulator import Simulator
-from repro.perf.cache import caches_disabled
 from repro.search.engine import SearchEngine
 from repro.search.index import IndexedEntry, no_seo_signal
 from repro.search.serp import ResultLabel
-from repro.util.perf import PERF
 from repro.util.simtime import SimDate
 
 from benchlib import print_comparison, write_bench_json
@@ -165,58 +156,42 @@ def test_serp_columnar_vs_scalar():
 
     scalar_reps: List[float] = []
     columnar_reps: List[float] = []
-    with caches_disabled():
-        # -- equivalence first: same ranks, urls, labels, bit-exact scores #
-        for term, day in queries:
-            expected = scalar_serp(engine, static_cache, term, day)
-            actual = engine.serp(term, day).results
-            assert len(actual) == len(expected), (term, day)
-            for exp, act in zip(expected, actual):
-                assert (act.rank, act.url, act.host, act.path, act.label) == (
-                    exp.rank, exp.url, exp.host, exp.path, exp.label), (term, day)
-                assert act.score == exp.score, (term, day, exp.rank)
-
-        # -- then timing over identical query streams -------------------- #
-        candidates = [len(engine.index.candidates(term)) for term, _ in queries]
-
-        # Interleave the two sides rep by rep — each side runs its full
-        # query stream back to back, so both are measured in their own
-        # steady state (finer interleaving pollutes the columnar path's
-        # caches with the scalar loop's garbage churn and overstates its
-        # cost by ~8%).  Each side's *minimum* rep is the headline:
-        # standard timeit doctrine — on a shared box, higher readings
-        # measure interference, not the code.  Medians land in the JSON
-        # alongside for context.
-        gc.collect()
-        for _ in range(TIMING_REPS):
-            t0 = time.perf_counter()
-            for term, day in queries:
-                scalar_serp(engine, static_cache, term, day)
-            t1 = time.perf_counter()
-            for term, day in queries:
-                engine.serp(term, day)
-            t2 = time.perf_counter()
-            scalar_reps.append(t1 - t0)
-            columnar_reps.append(t2 - t1)
-
-    scalar_us = min(scalar_reps) / per_query * 1e6
-    columnar_us = min(columnar_reps) / per_query * 1e6
-    speedup = scalar_us / columnar_us
-
-    # -- third pass: the per-(term, day) memo with caches on ------------- #
+    # -- equivalence first: same ranks, urls, labels, bit-exact scores --- #
     for term, day in queries:
-        engine.serp(term, day)  # populate the memo (all misses)
-    hits_before = PERF.counters().get("cache.serp.hit", 0)
-    memo_reps: List[float] = []
+        expected = scalar_serp(engine, static_cache, term, day)
+        actual = engine.serp(term, day).results
+        assert len(actual) == len(expected), (term, day)
+        for exp, act in zip(expected, actual):
+            assert (act.rank, act.url, act.host, act.path, act.label) == (
+                exp.rank, exp.url, exp.host, exp.path, exp.label), (term, day)
+            assert act.score == exp.score, (term, day, exp.rank)
+
+    # -- then timing over identical query streams ------------------------ #
+    candidates = [len(engine.index.candidates(term)) for term, _ in queries]
+
+    # Interleave the two sides rep by rep — each side runs its full
+    # query stream back to back, so both are measured in their own
+    # steady state (finer interleaving pollutes the columnar path's
+    # caches with the scalar loop's garbage churn and overstates its
+    # cost by ~8%).  Each side's *minimum* rep is the headline:
+    # standard timeit doctrine — on a shared box, higher readings
+    # measure interference, not the code.  Medians land in the JSON
+    # alongside for context.
     gc.collect()
     for _ in range(TIMING_REPS):
         t0 = time.perf_counter()
         for term, day in queries:
+            scalar_serp(engine, static_cache, term, day)
+        t1 = time.perf_counter()
+        for term, day in queries:
             engine.serp(term, day)
-        memo_reps.append(time.perf_counter() - t0)
-    serp_hits = PERF.counters().get("cache.serp.hit", 0) - hits_before
-    assert serp_hits >= TIMING_REPS * per_query, "memo pass was not all hits"
-    memo_us = min(memo_reps) / per_query * 1e6
+        t2 = time.perf_counter()
+        scalar_reps.append(t1 - t0)
+        columnar_reps.append(t2 - t1)
+
+    scalar_us = min(scalar_reps) / per_query * 1e6
+    columnar_us = min(columnar_reps) / per_query * 1e6
+    speedup = scalar_us / columnar_us
 
     write_bench_json("serp", {
         "scale": SCALE,
@@ -233,26 +208,18 @@ def test_serp_columnar_vs_scalar():
         "scalar_us_per_serp_median": statistics.median(scalar_reps) / per_query * 1e6,
         "columnar_us_per_serp_median": statistics.median(columnar_reps) / per_query * 1e6,
         "speedup": speedup,
-        "memo_us_per_serp": memo_us,
-        "memo_us_per_serp_median": statistics.median(memo_reps) / per_query * 1e6,
-        "memo_speedup_vs_columnar": columnar_us / memo_us,
-        "memo_hits": serp_hits,
     }, ledger_metrics={
         "scalar_us_per_serp": scalar_us,
         "columnar_us_per_serp": columnar_us,
-        "memo_us_per_serp": memo_us,
         "speedup": speedup,
-        "memo_speedup_vs_columnar": columnar_us / memo_us,
     })
     print_comparison("SERP serving (us/serp)", [
         ("scalar (seed)", "-", f"{scalar_us:.1f}"),
         ("columnar", "-", f"{columnar_us:.1f}"),
         ("speedup", ">=3x target", f"{speedup:.2f}x"),
-        ("memoized re-serve", "-", f"{memo_us:.2f}"),
     ])
 
     if AT_DEFAULT_SCALE:
         # Conservative floor: the target is >=3x, but CI noise must not
         # flake the suite; BENCH_serp.json carries the measured ratio.
         assert speedup > 1.5, f"columnar serving only {speedup:.2f}x faster"
-        assert memo_us < columnar_us, "memoized serve slower than a re-rank"

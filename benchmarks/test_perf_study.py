@@ -16,11 +16,7 @@ Default configuration is the paper preset at the benchmark scale
 ``benchmarks/conftest.py``).  The CI smoke sets
 ``REPRO_BENCH_STUDY_PRESET=small`` to keep the job short; other knobs:
 ``REPRO_BENCH_SCALE``, ``REPRO_BENCH_TERMS``, ``REPRO_BENCH_STUDY_DAYS``
-(small preset window), ``REPRO_BENCH_CRAWL_JOBS``
-(crawl shard processes — artifacts are byte-identical at any value, so
-both legs run sharded and the cached-vs-uncached equality check doubles
-as a shard-merge check; per-shard wall times, steal counts, and cpus land
-in the ``shard`` block of the JSON).
+(small preset window).
 
 A classification-only pass also times one classifier fit (``fit_s``) on
 the study's labeled pages: features plus the batched one-vs-rest solve.
@@ -60,7 +56,6 @@ PRESET = os.environ.get("REPRO_BENCH_STUDY_PRESET", "paper")
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.25"))
 TERMS_PER_VERTICAL = int(os.environ.get("REPRO_BENCH_TERMS", "8"))
 DAYS = int(os.environ.get("REPRO_BENCH_STUDY_DAYS", "70"))
-CRAWL_JOBS = int(os.environ.get("REPRO_BENCH_CRAWL_JOBS", "1"))
 AT_DEFAULT = not any(
     name in os.environ
     for name in ("REPRO_BENCH_STUDY_PRESET", "REPRO_BENCH_SCALE",
@@ -142,11 +137,9 @@ def _study_run():
     if PRESET == "paper":
         config = paper_preset(scale=SCALE, terms_per_vertical=TERMS_PER_VERTICAL)
         return StudyRun(config, crawl_policy=CrawlPolicy(stride_days=3),
-                        seed_label_count=491, refinement_rounds=1,
-                        jobs=CRAWL_JOBS)
+                        seed_label_count=491, refinement_rounds=1)
     return StudyRun(small_preset(days=DAYS),
-                    crawl_policy=CrawlPolicy(stride_days=2),
-                    jobs=CRAWL_JOBS)
+                    crawl_policy=CrawlPolicy(stride_days=2))
 
 
 def _timed_leg():
@@ -194,18 +187,9 @@ def test_study_end_to_end_perf(tmp_path):
     # -- persistent disk tier: cold vs warm, plus delta checkpoints ----- #
     disk = _disk_tier_block(tmp_path)
 
-    shard = results.shard_stats
-    assert shard is not None, "study run recorded no shard stats"
-    for field in ("jobs", "cpus", "mode", "crawl_days", "tasks", "steals",
-                  "fallback_days", "per_shard_busy_s", "crawl_wall_s"):
-        assert field in shard, f"shard stats missing {field}"
-    assert shard["jobs"] == CRAWL_JOBS
-
     payload = {
         "preset": PRESET,
         "cpus": os.cpu_count(),
-        "crawl_jobs": CRAWL_JOBS,
-        "shard": shard,
         "scale": SCALE if PRESET == "paper" else None,
         "terms_per_vertical": TERMS_PER_VERTICAL if PRESET == "paper" else None,
         "days": DAYS if PRESET == "small" else None,
@@ -237,9 +221,6 @@ def test_study_end_to_end_perf(tmp_path):
         ("total (uncached)", "-", f"{total_s_uncached:.2f}s"),
         ("total (cached)", "-", f"{total_s_cached:.2f}s"),
         ("cache speedup", ">=1.5x target", f"{speedup:.2f}x"),
-        (f"crawl shards (jobs={CRAWL_JOBS}, {shard['mode']})", "-",
-         f"{shard['crawl_wall_s']:.2f}s wall, {shard['tasks']} tasks, "
-         f"{shard['steals']} steals"),
         (f"disk warm start ({disk['days']}d small)", "-",
          f"{disk['cold_s']:.2f}s cold -> {disk['warm_s']:.2f}s warm "
          f"({disk['warm_speedup']:.2f}x)"),

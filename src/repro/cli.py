@@ -105,9 +105,6 @@ def _add_study_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stride", type=int, default=3,
                         help="crawl stride, days")
     parser.add_argument("--seed", type=int, default=None, help="scenario seed")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="crawl shard processes "
-                             "(byte-identical artifacts, any value)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the content-addressed caches "
                              "(bit-identical, slower)")
@@ -192,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write the per-sim-day metrics.jsonl series")
     trace.add_argument("--telemetry", default=None, metavar="PATH",
                        help="write the per-sim-day telemetry.jsonl sidecar "
-                            "(serve µs, shard + disk gauges)")
+                            "(serve µs and disk gauges)")
     trace.add_argument("--counters", action="store_true",
                        help="also show PERF counter deltas per span")
     trace.add_argument("--sparklines", action="store_true",
@@ -233,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            "selected record instead of gating")
     gate.add_argument("--verdict", default=None, metavar="PATH",
                       help="also write the deterministic verdict lines "
-                           "(byte-identical across jobs/cache variants "
+                           "(byte-identical across cache variants "
                            "on a clean run)")
     gate.add_argument("--report", default=None, metavar="PATH",
                       help="also write the full drift report "
@@ -293,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="print the rule table and exit")
     lint.add_argument("--deep", action="store_true",
                       help="also run the interprocedural flow analyzer "
-                           "(D101-D105)")
+                           "(D102, D104, D105)")
     lint.add_argument("--graph", choices=("json",), default=None,
                       help="with --deep: dump the import/call graph instead "
                            "of findings")
@@ -343,7 +340,6 @@ def command_run(args) -> int:
           + ")...", flush=True)
     study = StudyRun(
         config, crawl_policy=CrawlPolicy(stride_days=args.stride),
-        jobs=args.jobs,
         fault_profile=profile_named(args.profile) if args.profile else None,
         fault_seed=args.fault_seed,
         checkpoint_path=args.checkpoint,
@@ -399,7 +395,7 @@ def command_run(args) -> int:
     if ledger_path:
         record = RunLedger(ledger_path).append(build_study_record(
             config, results, wall_s=clock["wall_s"], stride=args.stride,
-            jobs=args.jobs, preset=args.preset, profile=args.profile,
+            preset=args.preset, profile=args.profile,
             fault_seed=args.fault_seed,
             # Fault-injected runs are their own kind: their headline
             # numbers must never blend into the clean study history.
@@ -512,13 +508,10 @@ def command_perf(args) -> int:
     config = _config_for(args)
     print(f"Profiling {args.preset} preset "
           f"({len(config.verticals)} verticals, {len(config.window)} days, "
-          f"jobs={args.jobs}, cache={'off' if args.no_cache else 'on'})...",
+          f"cache={'off' if args.no_cache else 'on'})...",
           flush=True)
     PERF.reset()
-    StudyRun(
-        config, crawl_policy=CrawlPolicy(stride_days=args.stride),
-        jobs=args.jobs,
-    ).execute()
+    StudyRun(config, crawl_policy=CrawlPolicy(stride_days=args.stride)).execute()
     print(PERF.format_table(top=args.top))
     if args.json:
         PERF.dump_json(args.json, extra={"manifest": run_manifest(config)})
@@ -538,7 +531,6 @@ def command_trace(args) -> int:
     start = perf_counter()
     results = StudyRun(
         config, crawl_policy=CrawlPolicy(stride_days=args.stride),
-        jobs=args.jobs,
     ).execute()
     wall_s = perf_counter() - start
     manifest = run_manifest(config)
@@ -588,7 +580,6 @@ def command_chaos(args) -> int:
         return StudyRun(
             _config_for(args),
             crawl_policy=CrawlPolicy(stride_days=args.stride),
-            jobs=args.jobs,
             fault_profile=fault_profile,
             fault_seed=args.fault_seed,
         ).execute()
@@ -673,11 +664,11 @@ def command_chaos(args) -> int:
         ledger = RunLedger(ledger_path)
         ledger.append(build_study_record(
             config, clean, wall_s=clean_clock["wall_s"], stride=args.stride,
-            jobs=args.jobs, preset=args.preset, kind="study",
+            preset=args.preset, kind="study",
         ))
         record = ledger.append(build_study_record(
             config, chaos, wall_s=chaos_clock["wall_s"], stride=args.stride,
-            jobs=args.jobs, preset=args.preset, kind="chaos",
+            preset=args.preset, kind="chaos",
             profile=profile.name, fault_seed=args.fault_seed,
         ))
         print(f"\nLedger records (clean + chaos, latest {record['run_id']}) "

@@ -102,7 +102,7 @@ class Dagger:
         try:
             return self._check(url, day)
         finally:
-            _CHECK_TIMER.add(perf_counter() - start)  # repro: allow-D101 timer deltas are exported per task and merged canonically by the executor
+            _CHECK_TIMER.add(perf_counter() - start)
 
     def _check(self, url: str, day: SimDate) -> DaggerResult:
         user_view = self._fetch(url, SEARCH_USER, day)

@@ -17,9 +17,8 @@ works out which are poisoned:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.obs.trace import TRACER
 from repro.util.perf import PERF
@@ -28,7 +27,6 @@ from repro.web.fetch import Response
 from repro.web.urls import parse_url
 from repro.faults.retry import ResilientFetcher, RetryPolicy
 from repro.interventions.notices import NoticeInfo, parse_notice_page
-from repro.perf.cache import CacheReplay, cache_ledger, disk_cache
 from repro.crawler.dagger import Dagger
 from repro.crawler.records import PageArchive, PsrDataset, PsrRecord
 from repro.crawler.store_detect import StoreDetector, StoreEvidence
@@ -94,57 +92,6 @@ class SearchCrawler:
         self._renders_today: Dict[str, int] = {}
         self._landing_today: Dict[str, Optional[_LandingInfo]] = {}
         self.crawl_day_count = 0
-        #: Crawl shard executor (:class:`repro.perf.shardpool.CrawlExecutor`)
-        #: attached by the study runner; None = classic sequential crawl.
-        self._executor = None
-        #: Shadow-LRU counters for canonical cache accounting under the
-        #: executor (plain state: rides inside checkpoints so a resumed run
-        #: keeps counting from warm shadows).
-        self.cache_replay = CacheReplay()
-        disk = disk_cache()
-        if disk is not None:
-            # Seed the replay's disk shadow from what is on disk *now*;
-            # from here on the shadow evolves with the crawl's own lookup
-            # stream, so counters stay canonical at any --jobs level and a
-            # resumed run continues from the pickled shadow rather than
-            # re-reading the (since grown) store.
-            self.cache_replay.attach_disk(disk.index_snapshot())
-
-    def __getstate__(self) -> dict:
-        # The executor holds a live process pool; the study runner
-        # reattaches one after a checkpoint resume (at whatever --jobs
-        # level the resuming invocation asked for).
-        state = dict(self.__dict__)
-        state["_executor"] = None
-        return state
-
-    # ------------------------------------------------------------------ #
-    # Shard-executor plumbing
-    # ------------------------------------------------------------------ #
-
-    def attach_executor(self, executor) -> None:
-        self._executor = executor
-
-    def detach_executor(self) -> None:
-        self._executor = None
-
-    @contextmanager
-    def cache_scope(self) -> Iterator[None]:
-        """Canonical cache accounting for non-crawl cache users.
-
-        The test orderer shares the render/notice caches with the crawl;
-        under an executor those caches' warmth depends on where crawl work
-        ran, so its lookups must go through the same ledger-and-replay
-        path the crawl uses.  Without an executor this is a no-op and the
-        caches count live, exactly as before."""
-        if self._executor is None:
-            yield
-            return
-        entries = []
-        with cache_ledger(entries):
-            yield
-        for name, value in sorted(self.cache_replay.replay(entries).items()):
-            PERF.count(name, value)
 
     # ------------------------------------------------------------------ #
     # Observer interface
@@ -161,13 +108,6 @@ class SearchCrawler:
             self._renders_today = {}
             self._landing_today = {}
             injector = getattr(self.web, "fault_injector", None)
-            executor = self._executor
-            #: Executor mode: (seq, vertical, term, result) for results the
-            #: skip rules don't rule out, in SERP order — ``seq`` is the
-            #: result's global position in that order, the merge key that
-            #: makes the sharded day replay as the sequential one.
-            work = []
-            seq = 0
             for term, serp in context.serps.items():
                 vertical = context.vertical_of_term[term]
                 if injector is not None and injector.serp_missing(term, day):
@@ -178,13 +118,7 @@ class SearchCrawler:
                     continue
                 self.dataset.note_serp(day, vertical, len(serp.results))
                 for result in serp.results:
-                    if executor is None:
-                        self._process_result(day, vertical, term, result)
-                    elif self._needs_work(result.url, result.host, day):
-                        work.append((seq, vertical, term, result))
-                    seq += 1
-            if executor is not None:
-                executor.run_day(self, day, work)
+                    self._process_result(day, vertical, term, result)
 
     # ------------------------------------------------------------------ #
     # Per-result processing
@@ -224,19 +158,6 @@ class SearchCrawler:
                 campaign="",
             )
         )
-
-    def _needs_work(self, url: str, host: str, day: SimDate) -> bool:
-        """Executor-mode pre-filter: mirrors the skip checks at the top of
-        :meth:`_process_result` against *day-start* state.  Must run in
-        SERP order in the parent because the skip helpers delete expired
-        clean marks as a side effect (recheck policy)."""
-        if url in self._cloaked_urls:
-            return True
-        if self._skip_clean_url(url, day):
-            return False
-        if self._skip_clean_host(host, day):
-            return False
-        return True
 
     def _skip_clean_url(self, url: str, day: SimDate) -> bool:
         checked = self._clean_urls.get(url)

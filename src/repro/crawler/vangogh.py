@@ -78,7 +78,7 @@ class VanGogh:
         try:
             return self._check(url, day)
         finally:
-            _CHECK_TIMER.add(perf_counter() - start)  # repro: allow-D101 timer deltas are exported per task and merged canonically by the executor
+            _CHECK_TIMER.add(perf_counter() - start)
 
     def _check(self, url: str, day: SimDate) -> VanGoghResult:
         response = self._fetch(url, RENDERING_CRAWLER, day)

@@ -214,11 +214,9 @@ class Simulator:
         :class:`DayContext` observers would receive.
 
         This is everything :meth:`run` does per day *except* notifying
-        observers and checkpointing.  Crawl-shard worker processes
-        (:mod:`repro.perf.shardpool`) call it directly to keep their
-        forked replica worlds in lockstep with the parent simulator; every
-        draw comes from this simulator's own named streams, so stepping a
-        replica produces bit-identical world state to the parent.
+        observers and checkpointing.  Every draw comes from this
+        simulator's own named streams, so stepping a simulator unpickled
+        from a checkpoint produces bit-identical world state.
         """
         world = self.world
         world.today = day

@@ -33,8 +33,7 @@ tamper-evident across saves and resumes.
 payload digest, the scenario config digest, and a recomputed state
 digest, and continues the day loop — producing final artifacts
 byte-identical to an uninterrupted run (pinned in
-``tests/test_faults.py``), at any ``--jobs`` level on either side of the
-crash.
+``tests/test_faults.py``).
 
 :class:`SimulatedCrash` gives tests and CI a deterministic kill: the
 checkpointer raises it right after persisting the configured day, which
@@ -56,9 +55,12 @@ from repro.obs.manifest import config_digest, run_manifest
 from repro.util.atomicio import atomic_write
 from repro.util.perf import PERF
 
-#: Checkpoint layout schema, bumped on layout changes.  Schema 1 was a
-#: single whole-graph pickle file; 2 is the chunked delta directory.
-CHECKPOINT_SCHEMA = 2
+#: Checkpoint schema, bumped when the layout or the pickled object graph
+#: changes.  Schema 1 was a single whole-graph pickle file; 2 is the
+#: chunked delta directory; 3 keeps that layout over a graph without the
+#: crawl shard pool's cache replay or the engine's SERP memo, and with
+#: page HTML built on first serve.
+CHECKPOINT_SCHEMA = 3
 
 #: Chunk-boundary anchor: pickle's MEMOIZE opcode followed by a zero
 #: byte.  Dense (~every 4-5 KB in study payloads), cheap to find at C
@@ -360,8 +362,9 @@ def load_checkpoint(path: str, config) -> Tuple[object, List[object], int, dict]
 
     Returns ``(simulator, observers, next_day_index, manifest)``.  Raises
     :class:`CheckpointError` when the store belongs to a different
-    scenario config, uses a different schema, is missing or corrupt, or
-    its state fails digest verification after unpickling.
+    scenario config, uses a different schema, is missing or corrupt,
+    names classes this code no longer has, or its state fails digest
+    verification after unpickling.
     """
     if os.path.isfile(path):
         # A schema-1 single-pickle checkpoint (or something else entirely).
@@ -417,7 +420,12 @@ def load_checkpoint(path: str, config) -> Tuple[object, List[object], int, dict]
             "reassembled checkpoint payload failed its digest — "
             "the chunk store is incomplete or damaged"
         )
-    payload = pickle.loads(blob)
+    try:
+        payload = pickle.loads(blob)
+    except (pickle.UnpicklingError, AttributeError, ImportError) as exc:
+        raise CheckpointError(
+            f"checkpoint payload does not unpickle with this code: {exc}"
+        ) from exc
     simulator = payload["simulator"]
     observers = payload["observers"]
     recomputed = state_digest(simulator, observers)

@@ -40,12 +40,6 @@ class FaultInjector:
     def __init__(self, profile, seed: int = 0):
         self.profile = profile
         self.seed = int(seed)
-        #: Suppress ``faults.injected.*`` PERF counts.  Crawl-shard workers
-        #: (and the parent's inline task path) consult the injector with
-        #: ``quiet=True``; the parent's canonical replay re-derives every
-        #: decision — they are pure functions of the key, so re-asking is
-        #: free — and counts each exactly once, in sequential order.
-        self.quiet = False
         self._init_prefix()
 
     def _init_prefix(self) -> None:
@@ -59,13 +53,11 @@ class FaultInjector:
 
     def __getstate__(self) -> dict:
         # hashlib objects can't pickle; (profile, seed) rebuilds the prefix.
-        return {"profile": self.profile, "seed": self.seed,
-                "quiet": self.quiet}
+        return {"profile": self.profile, "seed": self.seed}
 
     def __setstate__(self, state: dict) -> None:
         self.profile = state["profile"]
         self.seed = state["seed"]
-        self.quiet = state.get("quiet", False)
         self._init_prefix()
 
     # ------------------------------------------------------------------ #
@@ -83,8 +75,7 @@ class FaultInjector:
             return False
         if self._uniform(kind, *parts) >= rate:
             return False
-        if not self.quiet:
-            PERF.count(f"faults.injected.{kind}")
+        PERF.count(f"faults.injected.{kind}")
         return True
 
     # ------------------------------------------------------------------ #
@@ -103,8 +94,7 @@ class FaultInjector:
         profile = self.profile
         host = parse_url(url).host
         if profile.ip_block_rate > 0.0 and self.host_blocked(host, day):
-            if not self.quiet:
-                PERF.count(f"faults.injected.{FAULT_IP_BLOCK}")
+            PERF.count(f"faults.injected.{FAULT_IP_BLOCK}")
             return FAULT_IP_BLOCK
         key = (url, visitor.user_agent, str(day.ordinal), str(attempt))
         if self._roll(profile.timeout_rate, FAULT_TIMEOUT, *key):
@@ -127,20 +117,6 @@ class FaultInjector:
         window = day.ordinal // max(1, profile.ip_block_days)
         return self._uniform(FAULT_IP_BLOCK, host, str(window)) < profile.ip_block_rate
 
-    def corrupt_kind(self, url: str, day) -> Optional[str]:
-        """Which corruption (if any) hits a delivered non-empty body.
-
-        Factored out of :meth:`corrupt_html` so the shard pool's canonical
-        replay can re-derive (and count) the decision without holding the
-        body itself — the decision is keyed on (url, day) only."""
-        profile = self.profile
-        key = (url, str(day.ordinal))
-        if self._roll(profile.truncated_rate, FAULT_TRUNCATED, *key):
-            return FAULT_TRUNCATED
-        if self._roll(profile.garbled_rate, FAULT_GARBLED, *key):
-            return FAULT_GARBLED
-        return None
-
     def corrupt_html(self, html: str, url: str, day) -> Tuple[str, Optional[str]]:
         """Maybe damage a successfully fetched body.
 
@@ -150,14 +126,15 @@ class FaultInjector:
         """
         if not html:
             return html, None
-        kind = self.corrupt_kind(url, day)
-        if kind == FAULT_TRUNCATED:
+        profile = self.profile
+        key = (url, str(day.ordinal))
+        if self._roll(profile.truncated_rate, FAULT_TRUNCATED, *key):
             # Keep a deterministic 20–80% prefix: enough to parse partially.
             frac = 0.2 + 0.6 * self._uniform(
                 FAULT_TRUNCATED, "cut", url, str(day.ordinal)
             )
             return html[: max(1, int(len(html) * frac))], FAULT_TRUNCATED
-        if kind == FAULT_GARBLED:
+        if self._roll(profile.garbled_rate, FAULT_GARBLED, *key):
             # Smash the markup in the back half: tags become plain junk.
             pivot = len(html) // 2
             garbled = html[:pivot] + html[pivot:].replace("<", " ").replace(">", " ")

@@ -93,7 +93,7 @@ class ResilientFetcher:
             self._day_ordinal = day.ordinal
             self._retries_today = 0
         if self._breaker_refuses(host, day):
-            PERF.count("faults.breaker.short_circuit")  # repro: allow-D101 ablation workers reset+merge PERF wholesale; shard workers use _TaskFetcher, never this fetcher
+            PERF.count("faults.breaker.short_circuit")
             return Response(
                 status=STATUS_UNREACHABLE, url=url, final_url=url,
                 fault=FAULT_CIRCUIT_OPEN,
@@ -114,10 +114,10 @@ class ResilientFetcher:
             if attempt + 1 >= policy.max_attempts:
                 break
             if self._retries_today >= policy.per_day_retry_budget:
-                PERF.count("faults.retry.budget_exhausted")  # repro: allow-D101 ablation workers reset+merge PERF wholesale; shard workers use _TaskFetcher, never this fetcher
+                PERF.count("faults.retry.budget_exhausted")
                 break
             self._retries_today += 1
-            PERF.count("faults.retried")  # repro: allow-D101 ablation workers reset+merge PERF wholesale; shard workers use _TaskFetcher, never this fetcher
+            PERF.count("faults.retried")
             backoff = min(
                 policy.backoff_cap_s, policy.base_backoff_s * (2.0 ** attempt)
             )
@@ -126,7 +126,7 @@ class ResilientFetcher:
             )
         assert response is not None
         self._note_failure(host, day)
-        PERF.count("faults.gave_up")  # repro: allow-D101 ablation workers reset+merge PERF wholesale; shard workers use _TaskFetcher, never this fetcher
+        PERF.count("faults.gave_up")
         return response
 
     #: Bound-method alias so a fetcher can stand in where a ``web`` is
@@ -166,4 +166,4 @@ class ResilientFetcher:
                 day.ordinal + self.policy.breaker_cooldown_days
             )
             self._failures.pop(host, None)
-            PERF.count("faults.breaker.opened")  # repro: allow-D101 ablation workers reset+merge PERF wholesale; shard workers use _TaskFetcher, never this fetcher
+            PERF.count("faults.breaker.opened")

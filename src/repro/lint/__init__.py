@@ -1,7 +1,7 @@
 """``repro.lint`` — AST-based determinism & concurrency-safety analyzer.
 
 The reproduction's claims rest on bit-exact reruns (golden SERPs,
-``--jobs``-independent runs); this package enforces the hazard classes the
+hash-seed- and cache-independent runs); this package enforces the hazard classes the
 codebase has actually hit — most notably PR 1's ``id()``-recycling cache
 bug — mechanically instead of by review.  Run it with::
 

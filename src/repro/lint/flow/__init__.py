@@ -1,12 +1,9 @@
-"""``repro.lint.flow`` — whole-program shard-safety & determinism analysis.
+"""``repro.lint.flow`` — whole-program determinism analysis.
 
-The per-file rules (D001–D010) are syntactic: each looks at one module's
-AST and cannot see that a worker task calls, three modules away, a helper
-that bumps a parent-only counter.  PR 6 made exactly those whole-program
-contracts load-bearing — byte-identical artifacts at any ``--jobs`` level
-hold only while every worker effect is a seq-tagged op and no
-nondeterminism source leaks into the merge path.  This package checks
-them mechanically:
+The per-file rules (D001–D011) are syntactic: each looks at one module's
+AST and cannot see that an artifact writer calls, three modules away, a
+helper that reads the wall clock.  This package checks such
+whole-program contracts mechanically:
 
 1. a **module import graph** and a **call graph** over the analyzed
    package (direct calls, method resolution through a lightweight
@@ -19,25 +16,21 @@ them mechanically:
 3. interprocedural rules on top:
 
 ======  ===============================================================
-D101    worker-context purity: code reachable from a shard-pool worker
-        entry point must not mutate parent-owned module state
 D102    nondeterminism taint (wallclock / raw RNG / ``id()`` / unordered
         iteration) reaching an artifact writer
-D103    unordered iteration reachable from a canonical seq-ordered
-        merge root (``# repro: merge-root``)
-D104    declared effect contracts (``# repro: effects=pure`` /
-        ``effects=worker-safe``) verified against inferred effects
+D104    declared effect contracts (``# repro: effects=pure``) verified
+        against inferred effects
 D105    cross-module aliasing of one seeded RNG stream
 ======  ===============================================================
 
 Functions may declare contracts inline::
 
-    # repro: effects=worker-safe
-    def add(self, elapsed):
+    # repro: effects=pure
+    def digest(text):
         ...
 
 Declared contracts are *trusted* during propagation (assume–guarantee:
-a ``pure``/``worker-safe`` callee contributes no effects to its callers)
+a ``pure`` callee contributes no effects to its callers)
 and independently *verified* by D104, so a wrong declaration surfaces at
 the declaration site instead of poisoning every caller.  Findings are
 waived with the same ``# repro: allow-D10x <reason>`` machinery the

@@ -3,7 +3,7 @@
 :func:`deep_lint` is the API behind ``repro lint --deep``: it discovers
 files exactly like the shallow pass, summarizes each module through the
 digest cache, links the whole program, runs the effect fixpoint, applies
-the D101–D105 rules, and filters findings through the same
+the D102, D104 and D105 rules, and filters findings through the same
 ``# repro: allow-D10x <reason>`` waivers the shallow pass uses.
 
 Timing and graph-size stats ride on the report (``FlowStats``) so the
@@ -53,8 +53,6 @@ class FlowStats:
     classes: int = 0
     import_edges: int = 0
     call_edges: int = 0
-    worker_roots: int = 0
-    merge_roots: int = 0
     stream_sites: int = 0
     unresolved_calls: int = 0
     fixpoint_iterations: int = 0
@@ -71,8 +69,6 @@ class FlowStats:
             "classes": self.classes,
             "import_edges": self.import_edges,
             "call_edges": self.call_edges,
-            "worker_roots": self.worker_roots,
-            "merge_roots": self.merge_roots,
             "stream_sites": self.stream_sites,
             "unresolved_calls": self.unresolved_calls,
             "fixpoint_iterations": self.fixpoint_iterations,
@@ -149,8 +145,6 @@ def analyze_paths(
     stats.classes = len(program.classes)
     stats.import_edges = sum(len(v) for v in program.import_edges.values())
     stats.call_edges = len(program.edges)
-    stats.worker_roots = len(program.worker_roots)
-    stats.merge_roots = len(program.merge_roots)
     stats.stream_sites = len(program.stream_sites)
     stats.unresolved_calls = program.unresolved_calls
     stats.fixpoint_iterations = effects.iterations
@@ -248,7 +242,5 @@ def graph_dump(program: Program, stats: FlowStats) -> dict:
                 program.edges, key=lambda e: (e.module, e.line, e.caller, e.callee)
             )
         ],
-        "worker_roots": program.worker_roots,
-        "merge_roots": program.merge_roots,
         "stream_sites": [site.to_dict() for site in program.stream_sites],
     }

@@ -25,7 +25,7 @@ from repro.util.atomicio import atomic_write
 
 #: Bump when the summary format or extraction logic changes: the salt is
 #: part of every key, so old cache entries simply stop matching.
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 #: Default cache location, relative to the invocation directory.
 DEFAULT_CACHE_DIR = ".repro_flow_cache"

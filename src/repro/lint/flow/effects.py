@@ -3,10 +3,10 @@
 Every function starts from the base effects its own body exhibits
 (:mod:`repro.lint.flow.summarize`) and absorbs the effects of its
 callees until nothing changes.  Propagation is *assume–guarantee*: a
-callee that declares ``# repro: effects=pure`` or ``worker-safe``
-contributes nothing to its callers — the declaration is trusted here and
-independently verified by rule D104, so a wrong annotation surfaces
-exactly at the annotation site instead of poisoning the whole graph.
+callee that declares ``# repro: effects=pure`` contributes nothing to
+its callers — the declaration is trusted here and independently
+verified by rule D104, so a wrong annotation surfaces exactly at the
+annotation site instead of poisoning the whole graph.
 
 Per-kind contribution rules:
 
@@ -19,7 +19,7 @@ Per-kind contribution rules:
 * everything else (``mutates-global``, ``wallclock``, ``raw-rng``,
   ``identity``, ``io``, ``unordered-iter``) propagates as-is.
 * ``spawn`` edges do not propagate — the callee runs in a worker
-  process; D101 audits that side separately.
+  process, not in the caller's.
 
 Each propagated effect keeps a ``via`` link (callee + call line), so a
 finding can print the full witness chain down to the base effect.
@@ -215,32 +215,3 @@ def _absorb(effects, caller, callee, edge, callee_effects, result) -> bool:
     if not per_caller:
         effects.pop(caller, None)
     return changed
-
-
-def reachable_from(program: Program, roots) -> dict:
-    """Functions reachable from ``roots`` along call/may-call/spawn edges,
-    stopping at (and excluding) declared-contract boundaries.
-
-    Returns ``{qual: (via_qual | None, line | None)}`` — the discovery
-    edge, for diagnostics."""
-    out: dict = {}
-    stack = []
-    for root in roots:
-        fn = program.function(root)
-        if fn is None or trusted(fn):
-            continue
-        if root not in out:
-            out[root] = (None, None)
-            stack.append(root)
-    while stack:
-        qual = stack.pop()
-        for edge in program.edges_from(qual):
-            callee = edge.callee
-            if callee in out:
-                continue
-            fn = program.function(callee)
-            if fn is None or trusted(fn):
-                continue
-            out[callee] = (qual, edge.line)
-            stack.append(callee)
-    return out

@@ -11,9 +11,9 @@ into:
   internal callables passed as arguments (a task function handed to
   ``apply_async`` will be *executed* by pool machinery we never see, so
   passing it counts as calling it);
-* **worker roots** — functions dispatched via pool spawn methods
+* ``spawn`` edges to functions dispatched via pool spawn methods
   (``apply_async``/``submit``/``map*``) or a ``Pool(initializer=...)``
-  keyword, plus anything marked ``# repro: worker-entry``;
+  keyword — they run in a worker, so their effects stay there;
 * **RNG stream sites** — ``.get("<literal>")`` calls whose receiver
   provably descends from a ``RandomStreams`` root, grouped by
   (namespace, stream name) for D105.
@@ -41,7 +41,7 @@ _MAX_RESOLVE_DEPTH = 12
 
 @dataclass
 class Edge:
-    caller: str  #: fully-qualified caller, e.g. "repro.perf.shardpool._run_task"
+    caller: str  #: fully-qualified caller, e.g. "repro.analysis.ablations._run_variant"
     callee: str
     line: int  #: line in the *caller's* module
     module: str  #: caller's module (dotted)
@@ -86,8 +86,6 @@ class Program:
     classes: dict = field(default_factory=dict)  # qual -> (module, ClassSummary)
     import_edges: dict = field(default_factory=dict)  # module -> sorted [module]
     edges: list = field(default_factory=list)
-    worker_roots: list = field(default_factory=list)  # sorted quals
-    merge_roots: list = field(default_factory=list)
     stream_sites: list = field(default_factory=list)
     unresolved_calls: int = 0
 
@@ -109,8 +107,6 @@ class Program:
         self._by_caller: dict[str, list] = {}
         for edge in self.edges:
             self._by_caller.setdefault(edge.caller, []).append(edge)
-        self.worker_roots = sorted(set(self.worker_roots))
-        self.merge_roots = sorted(set(self.merge_roots))
 
 
 def link(summaries: dict) -> Program:
@@ -134,10 +130,6 @@ class _Linker:
         for module, summary in sorted(self.summaries.items()):
             for qual, fn in summary.functions.items():
                 program.functions[f"{module}.{qual}"] = (module, fn)
-                if fn.merge_root:
-                    program.merge_roots.append(f"{module}.{qual}")
-                if fn.worker_entry:
-                    program.worker_roots.append(f"{module}.{qual}")
             for name, cls in summary.classes.items():
                 program.classes[f"{module}.{name}"] = (module, cls)
             imported = set()
@@ -146,7 +138,7 @@ class _Linker:
                 if target in self.summaries and target != module:
                     imported.add(target)
                 elif info["kind"] == "object":
-                    # "from repro.perf import shardpool" style
+                    # "from repro.perf import diskcache" style
                     sub = f"{target}.{info['name']}"
                     if sub in self.summaries and sub != module:
                         imported.add(sub)
@@ -177,7 +169,7 @@ class _Linker:
             return ("binding", module, name)
         info = summary.imports.get(name)
         if info is None:
-            # Package attribute access: repro.perf -> repro.perf.shardpool.
+            # Package attribute access: repro.perf -> repro.perf.diskcache.
             if f"{module}.{name}" in self.summaries:
                 return ("module", f"{module}.{name}")
             return None
@@ -326,7 +318,6 @@ class _Linker:
             if site.method in SPAWN_METHODS and site.arg_refs:
                 target = self._resolve_callable_ref(module, owner_class, site.arg_refs[0])
                 if target is not None:
-                    program.worker_roots.append(target[0])
                     program.edges.append(
                         Edge(caller, target[0], site.line, module, target[1], "spawn")
                     )
@@ -334,7 +325,6 @@ class _Linker:
             if site.initializer_ref:
                 target = self._resolve_callable_ref(module, owner_class, site.initializer_ref)
                 if target is not None:
-                    program.worker_roots.append(target[0])
                     program.edges.append(
                         Edge(caller, target[0], site.line, module, target[1], "spawn")
                     )

@@ -1,4 +1,4 @@
-"""Interprocedural rules D101–D105 over the linked program + effects.
+"""Interprocedural rules D102, D104 and D105 over the linked program + effects.
 
 Flow rules see the whole program at once (unlike :class:`repro.lint.core.Rule`,
 which sees one file), so they register in their own registry and are run
@@ -12,14 +12,12 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Type
 
 from repro.lint.core import Finding
-from repro.lint.flow.effects import EffectResult, reachable_from, trusted
+from repro.lint.flow.effects import EffectResult
 from repro.lint.flow.graphs import Program
 from repro.lint.flow.summarize import (
     CONTRACT_FORBIDS,
     CONTRACTS,
     IDENTITY,
-    MUTATES_GLOBAL,
-    MUTATES_SELF,
     RAW_RNG,
     UNORDERED_ITER,
     WALLCLOCK,
@@ -89,23 +87,6 @@ def _short(qual: str, program: Program) -> str:
     return qual
 
 
-def _entry_chain(reach: dict, qual: str, program: Program, limit: int = 6) -> str:
-    """Discovery path root -> ... -> qual from a reachability map."""
-    hops = [qual]
-    current = qual
-    for _ in range(64):
-        via, _line = reach.get(current, (None, None))
-        if via is None:
-            break
-        hops.append(via)
-        current = via
-    hops.reverse()
-    shown = [_short(h, program) for h in hops]
-    if len(shown) > limit:
-        shown = shown[:2] + ["..."] + shown[-(limit - 3):]
-    return " -> ".join(shown)
-
-
 def _effect_chain(effects: EffectResult, qual: str, kind: str, program: Program, target=None) -> str:
     hops = effects.chain(qual, kind, target)
     parts = []
@@ -114,80 +95,6 @@ def _effect_chain(effects: EffectResult, qual: str, kind: str, program: Program,
     if hops:
         parts[-1] += f" ({hops[-1][3]})"
     return " -> ".join(parts)
-
-
-@register_flow
-class WorkerPurityRule(FlowRule):
-    """D101: code reachable from a worker entry point must not mutate
-    module-global state owned by other (parent-side) modules.
-
-    Worker entry points are functions dispatched through pool spawn
-    methods (``apply_async``/``submit``/``map*``), pool ``initializer=``
-    targets, and anything annotated ``# repro: worker-entry``.  Globals
-    living in the *spawning* module itself are worker-local replica
-    context and allowed.  A callee declared ``# repro: effects=pure`` or
-    ``worker-safe`` terminates the audit (D104 verifies the declaration).
-    """
-
-    code = "D101"
-    name = "worker-context-purity"
-    hint = (
-        "emit a seq-tagged op for the parent to replay, or declare the callee "
-        "'# repro: effects=worker-safe' if its mutation is worker-local by design"
-    )
-
-    def check(self, program: Program, effects: EffectResult) -> Iterable[Finding]:
-        roots = program.worker_roots
-        if not roots:
-            return
-        spawn_modules = {program.module_of(r) for r in roots if program.module_of(r)}
-        reach = reachable_from(program, roots)
-        for qual in sorted(reach):
-            module = program.module_of(qual)
-            fn = program.function(qual)
-            if module is None or fn is None:
-                continue
-            # (a) direct mutation of a module global outside the spawn module.
-            base_targets = fn.base_effects.get(MUTATES_GLOBAL, {}).get("targets", {})
-            if module not in spawn_modules:
-                for target, witness in sorted(base_targets.items()):
-                    yield self.finding(
-                        program,
-                        module,
-                        witness["line"],
-                        (
-                            f"worker-reachable {_short(qual, program)} mutates "
-                            f"module global {target!r} ({witness['detail']}); "
-                            f"reached via {_entry_chain(reach, qual, program)}"
-                        ),
-                    )
-            # (b) method call mutating a module-global instance elsewhere.
-            for edge in program.edges_from(qual):
-                if edge.recv_global is None or edge.kind == "spawn":
-                    continue
-                owner_module = edge.recv_global.split(":", 1)[0]
-                if owner_module in spawn_modules:
-                    continue
-                callee_fn = program.function(edge.callee)
-                if callee_fn is None or trusted(callee_fn):
-                    continue
-                mutates = (
-                    MUTATES_SELF in effects.of(edge.callee)
-                    or MUTATES_SELF in callee_fn.base_effects
-                )
-                if not mutates:
-                    continue
-                yield self.finding(
-                    program,
-                    module,
-                    edge.line,
-                    (
-                        f"worker-reachable {_short(qual, program)} calls "
-                        f"{_short(edge.callee, program)} which mutates parent-owned "
-                        f"global {edge.recv_global.replace(':', '.')}; "
-                        f"reached via {_entry_chain(reach, qual, program)}"
-                    ),
-                )
 
 
 @register_flow
@@ -243,53 +150,12 @@ class ArtifactTaintRule(FlowRule):
 
 
 @register_flow
-class MergeOrderRule(FlowRule):
-    """D103: no unordered iteration on the canonical merge path.
-
-    The seq-ordered merge (PR 6) replays worker ops in a globally sorted
-    order; any set iteration reachable from a function annotated
-    ``# repro: merge-root`` can reorder ops between runs and break
-    byte-identity at ``--jobs > 1``.
-    """
-
-    code = "D103"
-    name = "merge-path-ordering"
-    hint = "sort the collection (sorted(...)) before iterating on the merge path"
-
-    def check(self, program: Program, effects: EffectResult) -> Iterable[Finding]:
-        roots = program.merge_roots
-        if not roots:
-            return
-        reach = reachable_from(program, roots)
-        for qual in sorted(reach):
-            module = program.module_of(qual)
-            fn = program.function(qual)
-            if module is None or fn is None:
-                continue
-            witness = fn.base_effects.get(UNORDERED_ITER)
-            if witness is None:
-                continue
-            yield self.finding(
-                program,
-                module,
-                witness["line"],
-                (
-                    f"unordered iteration in {_short(qual, program)} "
-                    f"({witness['detail']}) is reachable from merge root "
-                    f"{_entry_chain(reach, qual, program)}"
-                ),
-            )
-
-
-@register_flow
 class ContractRule(FlowRule):
     """D104: declared effect contracts must match inferred effects.
 
-    ``# repro: effects=pure`` forbids every effect kind;
-    ``# repro: effects=worker-safe`` permits receiver/argument mutation
-    (asserted worker-local) but no global mutation or nondeterminism.
-    The fixpoint *trusts* declarations, so this rule is what keeps a
-    stale annotation from silently sanctioning a whole call subtree.
+    ``# repro: effects=pure`` forbids every effect kind.  The fixpoint
+    *trusts* declarations, so this rule is what keeps a stale annotation
+    from silently sanctioning a whole call subtree.
     """
 
     code = "D104"

@@ -57,18 +57,10 @@ EFFECT_KINDS = (
     UNORDERED_ITER,
 )
 
-#: Contract levels a function may declare.  ``pure`` forbids every kind;
-#: ``worker-safe`` permits mutation of the receiver/arguments (worker-local
-#: by the annotation's assertion) but none of the global/nondeterminism
-#: kinds.
-CONTRACTS = ("pure", "worker-safe")
+#: Contract levels a function may declare: ``pure`` forbids every kind.
+CONTRACTS = ("pure",)
 
-_PURE_FORBIDS = frozenset(EFFECT_KINDS)
-_WORKER_SAFE_FORBIDS = frozenset(
-    (MUTATES_GLOBAL, WALLCLOCK, RAW_RNG, IDENTITY, UNORDERED_ITER)
-)
-
-CONTRACT_FORBIDS = {"pure": _PURE_FORBIDS, "worker-safe": _WORKER_SAFE_FORBIDS}
+CONTRACT_FORBIDS = {"pure": frozenset(EFFECT_KINDS)}
 
 # Wall-clock reads, matched after import resolution (same set D003 uses,
 # minus the monotonic clocks).
@@ -140,7 +132,7 @@ _MUTATING_METHODS = frozenset(
 )
 
 _ANNOTATION_RE = re.compile(
-    r"#\s*repro:\s*(?P<kind>effects=(?P<value>[\w-]+)|merge-root|worker-entry)\s*$"
+    r"#\s*repro:\s*effects=(?P<value>[\w-]+)\s*$"
 )
 
 # ---------------------------------------------------------------------------
@@ -197,10 +189,8 @@ class FunctionSummary:
     #: -> witness under the "targets" key.
     base_effects: dict = field(default_factory=dict)
     calls: list = field(default_factory=list)
-    declared: str | None = None  # "pure" | "worker-safe"
+    declared: str | None = None  # "pure"
     declared_line: int | None = None
-    merge_root: bool = False
-    worker_entry: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -211,8 +201,6 @@ class FunctionSummary:
             "calls": [c.to_dict() for c in self.calls],
             "declared": self.declared,
             "declared_line": self.declared_line,
-            "merge_root": self.merge_root,
-            "worker_entry": self.worker_entry,
         }
 
     @classmethod
@@ -291,9 +279,9 @@ class ModuleSummary:
 def collect_annotations(source: str) -> dict:
     """Map line numbers to flow annotations found in comments.
 
-    Returns ``{line: {"kind": "effects"|"merge-root"|"worker-entry",
-    "value": str|None}}``.  Unknown ``effects=`` values are kept verbatim
-    so D104 can flag them at the declaration site.
+    Returns ``{line: {"kind": "effects", "value": str}}``.  Unknown
+    ``effects=`` values are kept verbatim so D104 can flag them at the
+    declaration site.
     """
     annotations: dict[int, dict] = {}
     try:
@@ -304,14 +292,10 @@ def collect_annotations(source: str) -> dict:
             match = _ANNOTATION_RE.match(tok.string.strip())
             if not match:
                 continue
-            kind = match.group("kind")
-            if kind.startswith("effects="):
-                annotations[tok.start[0]] = {
-                    "kind": "effects",
-                    "value": match.group("value"),
-                }
-            else:
-                annotations[tok.start[0]] = {"kind": kind, "value": None}
+            annotations[tok.start[0]] = {
+                "kind": "effects",
+                "value": match.group("value"),
+            }
     except tokenize.TokenError:
         pass
     return annotations
@@ -703,7 +687,7 @@ def _resolve_relative(module: str, node: ast.ImportFrom) -> str | None:
 
 
 def _apply_annotations(summary: ModuleSummary, annotations: dict, def_lines: dict) -> None:
-    """Attach effects=/merge-root/worker-entry comments to functions.
+    """Attach ``effects=`` comments to functions.
 
     A comment binds to the def on the same line, or to a def on the next
     line when it stands alone above the signature."""
@@ -719,13 +703,8 @@ def _apply_annotations(summary: ModuleSummary, annotations: dict, def_lines: dic
             )
             continue
         fn = summary.functions[qual]
-        if ann["kind"] == "effects":
-            fn.declared = ann["value"]
-            fn.declared_line = line
-        elif ann["kind"] == "merge-root":
-            fn.merge_root = True
-        elif ann["kind"] == "worker-entry":
-            fn.worker_entry = True
+        fn.declared = ann["value"]
+        fn.declared_line = line
 
 
 def summarize_module(module: str, path: str, source: str) -> ModuleSummary:

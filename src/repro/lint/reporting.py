@@ -34,7 +34,7 @@ perf baselines.
 When the deep pass ran (``--deep``), every format gains a ``deep`` block::
 
     "deep": {
-      "rules": ["D101", ...],
+      "rules": ["D102", ...],
       "findings": 0,
       "by_rule": {},
       "suppressions_used": 10,

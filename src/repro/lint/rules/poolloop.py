@@ -1,11 +1,10 @@
 """D010 — process-pool construction inside a loop.
 
-The crawl shard pool exists precisely because pool startup is expensive:
-a forked worker inherits (or a spawned one rebuilds) a whole world
-replica, so constructing a pool *per day* pays that cost hundreds of
-times over and erases the parallel speedup.  The sanctioned pattern is
-one persistent pool per run, created lazily and reused
-(:class:`repro.perf.shardpool.CrawlExecutor`, ``_pool_context()`` in
+Pool startup is expensive: every worker is forked or spawned (a spawned
+one re-imports the package), so constructing a pool inside a loop pays
+that cost on every iteration and erases the parallel speedup.  The
+sanctioned pattern is one pool per batch of independent work, built
+once and reused for all of it (``run_intervention_ablations`` in
 ``analysis/ablations.py``).
 
 The check is lexical: a ``multiprocessing.Pool`` / ``Pool`` /
@@ -37,8 +36,8 @@ class PoolInLoopRule(Rule):
 
     code = "D010"
     name = "pool-in-loop"
-    hint = ("create one persistent pool per run and reuse it across days "
-            "(see repro.perf.shardpool.CrawlExecutor)")
+    hint = ("create one pool for the whole batch and reuse it "
+            "(see repro.analysis.ablations.run_intervention_ablations)")
     node_types = (ast.Call,)
 
     def visit_node(self, node: ast.AST, ctx: LintContext) -> Iterable[Finding]:
@@ -53,8 +52,8 @@ class PoolInLoopRule(Rule):
             if isinstance(parent, _LOOP_NODES):
                 yield self.finding(ctx, node, (
                     f"worker pool {last}(...) constructed inside a loop — "
-                    "pool startup (fork/spawn of world replicas) is paid "
-                    "every iteration"
+                    "pool startup (forking or spawning the workers) is "
+                    "paid every iteration"
                 ))
                 return
             parent = getattr(parent, "parent", None)

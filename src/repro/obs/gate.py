@@ -12,12 +12,12 @@ Two band kinds with deliberately different semantics:
 
 * ``metric`` — deterministic headline values.  Checked everywhere, and
   their verdict lines include the numbers: same scenario → same values →
-  the rendered verdict is byte-identical at any ``--jobs`` level and
-  cold or warm disk cache (an acceptance invariant pinned in CI).
+  the rendered verdict is byte-identical with the caches on or off and
+  with a cold or warm disk cache (an acceptance invariant pinned in CI).
 * ``perf`` — wall times and per-call µs.  Inherently noisy and
   host-dependent, so they only *arm* when the current host fingerprint
-  (cpus/platform/python) **and** the run switches (jobs, caches, disk
-  tier — byte-identity-preserving but not timing-preserving) match the
+  (cpus/platform/python) **and** the run switches (caches, disk tier —
+  byte-identity-preserving but not timing-preserving) match the
   baseline's, and their verdict lines never print the measured value —
   drift shows in the drift *report*, not the deterministic verdict.
 
@@ -227,7 +227,7 @@ class GateResult:
         """The deterministic verdict: one line per metric-kind check.
 
         Metric values are deterministic by construction (same scenario →
-        same numbers at any ``--jobs``, cold or warm), so this rendering
+        same numbers, cached or not, cold or warm), so this rendering
         is byte-identical across those variants on a clean run — CI pins
         that with ``cmp``.  Perf checks are summarized in one count line
         (their per-run values are noise); their detail lives in the drift

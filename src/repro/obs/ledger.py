@@ -6,15 +6,15 @@ JSONL **ledger**.  A record captures everything needed to compare the run
 against any other run of the same scenario:
 
 * the full run manifest (config digest, git SHA, seed/window/scale, host);
-* the switches that must *not* change results (``--jobs``, crawl stride,
-  cache/disk-cache) — artifacts are byte-identical across them, so records
-  stay comparable and any difference between two same-``key`` records is a
+* the run switches (crawl stride, cache/disk-cache, fault profile) —
+  artifacts are byte-identical across the cache switches, so records stay
+  comparable and any difference between two same-``key`` records is a
   code change, not a knob;
 * wall time and the PERF registry snapshot (timers + counters);
 * the **headline metrics** — :meth:`repro.study.StudyResults.headline`:
   PSR/doorway/store counts, Table 1–3 cells keyed by row, the PSR curve
   quantiles, store-lifetime quantiles;
-* shard, checkpoint, and disk-store accounting when those subsystems ran.
+* disk-store accounting when the persistent cache tier ran.
 
 Records are keyed (``<config digest>/stride<N>`` for studies,
 ``bench:<name>`` for benchmarks) so :mod:`repro.obs.gate` can band the
@@ -228,7 +228,6 @@ def build_study_record(
     *,
     wall_s: float,
     stride: int,
-    jobs: int = 1,
     kind: str = "study",
     preset: Optional[str] = None,
     profile: Optional[str] = None,
@@ -238,7 +237,7 @@ def build_study_record(
 
     ``key`` is the comparability anchor: the scenario config digest plus
     the crawl stride (the one run knob outside the config that changes
-    results).  Jobs/cache/disk switches ride in ``switches`` — they are
+    results).  Cache/disk switches ride in ``switches`` — they are
     byte-identity-preserving, so records differing only there are still
     directly comparable.
     """
@@ -255,7 +254,6 @@ def build_study_record(
         "key": f"{manifest['config']['digest']}/stride{stride}",
         "manifest": manifest,
         "switches": {
-            "jobs": jobs,
             "stride": stride,
             "cache": caches_enabled(),
             "disk_cache": disk_cache_path() is not None,
@@ -266,8 +264,6 @@ def build_study_record(
         "headline": results.headline(),
         "perf": PERF.report(),
     }
-    if results.shard_stats is not None:
-        record["shard"] = results.shard_stats
     disk = disk_cache()
     if disk is not None:
         stats = disk.stats()

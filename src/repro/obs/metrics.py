@@ -13,13 +13,15 @@ the day) and samples once per simulated day:
 The samples split into two files with different determinism contracts:
 
 * ``metrics.jsonl`` (:data:`METRICS_COLUMNS`) — **deterministic**: every
-  column derives from simulation state or exact counter deltas, so the
-  file is byte-identical for a seed at any ``--jobs`` level, cached or
-  not (pinned in ``tests/test_shardpool.py`` with no column masking).
+  column derives from simulation state or exact counter deltas, so a
+  fresh process writes the same bytes for a seed.  ``cache_hit_rate``
+  counts the live caches' lookups, so it also reflects how warm they
+  were: a resumed run, or a second run in one process, starts warmer or
+  colder than a fresh uninterrupted one.
 * ``telemetry.jsonl`` (:data:`TELEMETRY_COLUMNS`) — **timing/host
-  gauges**: mean SERP serve µs, shard-pool task/steal/fallback gauges,
-  disk-tier hit rate.  These legitimately vary run to run and live in a
-  sidecar so they can never contaminate the deterministic artifact.
+  gauges**: mean SERP serve µs and disk-tier hit rate.  These
+  legitimately vary run to run and live in a sidecar so they can never
+  contaminate the deterministic artifact.
 
 Storage is columnar (one list per column) so sampling is O(counters) per
 day and a column feeds :func:`repro.reporting.sparkline.sparkline_row`
@@ -62,14 +64,11 @@ METRICS_COLUMNS: Tuple[str, ...] = (
 
 #: Column order of one telemetry row: wall-clock and host-dependent
 #: gauges, segregated so ``metrics.jsonl`` stays byte-identical across
-#: jobs/cache variants.
+#: reruns.
 TELEMETRY_COLUMNS: Tuple[str, ...] = (
     "day",              # ISO sim-date
     "day_index",        # 0-based offset in the study window
-    "serp_serve_us",    # mean engine.serp µs this day (0 when memoized away)
-    "shard_tasks",      # crawl tasks enqueued to the shard pool this day
-    "shard_steals",     # work-stealing moves this day
-    "shard_fallback",   # 1 when the day fell back to the sequential path
+    "serp_serve_us",    # mean engine.serp µs this day
     "disk_hit_rate",    # disk-tier hits/(hits+misses) this day
 )
 
@@ -88,8 +87,6 @@ class MetricsRecorder:
         self._day_index = 0
         self._records_seen = 0
         self._store_hosts: set = set()
-        #: Shard-pool ``day_stats`` rows already folded into telemetry.
-        self._shard_rows_seen = 0
         # Deltas count from construction, not process start: the PERF
         # registry is process-global and may already carry earlier runs.
         self._serp_base = self._serp_totals()
@@ -109,9 +106,6 @@ class MetricsRecorder:
         self._cache_base = self._cache_totals()
         self._fault_base = self._fault_totals()
         self._disk_base = self._disk_totals()
-        # The resumed process's executor starts with an empty day_stats
-        # list; stale row counts would make the first delta negative.
-        self._shard_rows_seen = 0
 
     # ------------------------------------------------------------------ #
     # Observer interface
@@ -125,7 +119,6 @@ class MetricsRecorder:
         injected, retried, degraded = self._fault_delta()
         disk_hits, disk_misses = self._disk_delta()
         disk_looked_up = disk_hits + disk_misses
-        shard_tasks, shard_steals, shard_fallback = self._shard_delta()
 
         psrs_today = 0
         active_doorways = 0
@@ -167,9 +160,6 @@ class MetricsRecorder:
             "day": day.isoformat(),
             "day_index": self._day_index,
             "serp_serve_us": (serp_s / serp_calls * 1e6) if serp_calls else 0.0,
-            "shard_tasks": shard_tasks,
-            "shard_steals": shard_steals,
-            "shard_fallback": shard_fallback,
             "disk_hit_rate": (
                 disk_hits / disk_looked_up) if disk_looked_up else 0.0,
         }
@@ -225,20 +215,6 @@ class MetricsRecorder:
         hits0, misses0 = self._disk_base
         self._disk_base = (hits, misses)
         return hits - hits0, misses - misses0
-
-    def _shard_delta(self) -> Tuple[int, int, int]:
-        """(tasks, steals, fallback-days) from executor day_stats rows
-        added since the last sample.  Zeroes on non-crawl days or when no
-        executor is attached (analysis-only recorders)."""
-        executor = getattr(self.crawler, "_executor", None)
-        if executor is None:
-            return 0, 0, 0
-        rows = executor.day_stats[self._shard_rows_seen:]
-        self._shard_rows_seen = len(executor.day_stats)
-        tasks = sum(r["tasks"] for r in rows)
-        steals = sum(r["steals"] for r in rows)
-        fallback = sum(1 for r in rows if r["fallback"])
-        return tasks, steals, fallback
 
     @staticmethod
     def _fault_totals() -> Tuple[int, int, int]:
@@ -356,17 +332,15 @@ class MetricsRecorder:
         return "\n".join(lines)
 
     def render_telemetry_sparklines(self, width: int = 60) -> str:
-        """The timing/shard/disk gauges as terminal sparklines."""
+        """The timing and disk gauges as terminal sparklines."""
         from repro.reporting.sparkline import sparkline_row
 
         days = len(self.telemetry["day"])
         lines = [f"Per-sim-day telemetry ({days} days)"]
-        for name in ("serp_serve_us", "shard_tasks", "shard_steals",
-                     "shard_fallback"):
-            lines.append(sparkline_row(
-                name, [float(v) for v in self.telemetry[name]],
-                width=width, as_percent=False,
-            ))
+        lines.append(sparkline_row(
+            "serp_serve_us", [float(v) for v in self.telemetry["serp_serve_us"]],
+            width=width, as_percent=False,
+        ))
         lines.append(sparkline_row(
             "disk_hit_rate",
             [float(v) for v in self.telemetry["disk_hit_rate"]],

@@ -170,7 +170,6 @@ class Tracer:
     def enabled(self) -> bool:
         return self._enabled
 
-    # repro: effects=worker-safe
     def set_enabled(self, on: bool) -> bool:
         """Flip tracing; enabling starts a fresh trace.  Returns previous."""
         previous = self._enabled
@@ -179,7 +178,6 @@ class Tracer:
             self.reset()
         return previous
 
-    # repro: effects=worker-safe
     def reset(self) -> None:
         self._stack = []
         self.roots = []

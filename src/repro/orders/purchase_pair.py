@@ -16,7 +16,6 @@ its doorways, exactly the way a returning "customer" would.
 from __future__ import annotations
 
 import re
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -151,12 +150,7 @@ class TestOrderer:
 
     def on_day(self, world, context) -> None:
         day = context.day
-        # Re-resolution renders share the crawl's content-addressed caches;
-        # under a shard executor those lookups must be ledgered and replayed
-        # so hit/miss counts stay canonical (no-op without an executor).
-        scope = getattr(self.crawler, "cache_scope", None)
-        with (scope() if scope is not None else nullcontext()), \
-                TRACER.span("orders", sim_day=day.isoformat()):
+        with TRACER.span("orders", sim_day=day.isoformat()):
             self._discover_new_stores(day)
             orders_today: Dict[str, int] = {}
             for tracked in self.tracked.values():

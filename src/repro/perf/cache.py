@@ -20,9 +20,8 @@ Layers built on this module:
   a renderer's view is profile-dependent even though the fetched HTML
   already reflects it.
 * Derived-value caches owned by their consumers (Dagger's shingle sets,
-  the classifier's feature Counters, seizure-notice parses, and the
-  engine's per-day SERP memo) — all built from :class:`LRUCache` or the
-  same counter conventions.
+  the classifier's feature Counters, seizure-notice parses), all built
+  from :class:`LRUCache`.
 
 Every cache reports ``cache.<name>.hit`` / ``.miss`` / ``.evict`` counters
 into the :data:`repro.util.perf.PERF` registry, so ``python -m repro perf``
@@ -39,8 +38,7 @@ fresh process warm-starts from artifacts a previous run derived.  It is
 enabled per-run (``--disk-cache DIR`` / :func:`set_disk_cache`) or via
 ``REPRO_DISK_CACHE=<dir>``; every persistent cache reports
 ``cache.<name>.disk_hit/.disk_miss/.promote/.write`` alongside the
-memory counters, and :class:`CacheReplay` shadows the disk tier so those
-counters stay canonical at any ``--jobs`` level.
+memory counters.
 """
 
 from __future__ import annotations
@@ -49,11 +47,11 @@ import os
 from collections import OrderedDict
 from contextlib import contextmanager
 from hashlib import blake2b
-from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Hashable, Iterator, List, Optional
 
 from repro.html.nodes import Document
 from repro.html.parser import parse_html
-from repro.perf.diskcache import DISK_MISS, DiskCache, entry_filename
+from repro.perf.diskcache import DISK_MISS, DiskCache
 from repro.util.perf import PERF
 from repro.web.fetch import VisitorProfile
 from repro.web.render import render_document
@@ -70,15 +68,8 @@ _enabled: bool = os.environ.get("REPRO_CACHE", "1") not in ("0", "false", "no")
 _DISK: Optional[DiskCache] = None
 _disk_resolved: bool = False
 
-#: Every LRUCache ever constructed, for :func:`reset_caches`.  Module-level
-#: caches only — per-object caches (the engine's SERP memo) validate
-#: themselves and die with their owner instead of registering here.
+#: Every LRUCache ever constructed, for :func:`reset_caches`.
 _caches: List["LRUCache"] = []
-
-#: When not None, :meth:`LRUCache.get_or_build` appends ``(name, key)``
-#: here instead of bumping PERF counters (values are still served and
-#: maintained).  See :func:`cache_ledger` / :class:`CacheReplay`.
-_LEDGER: Optional[List[Tuple[str, Hashable]]] = None
 
 _MISSING = object()
 
@@ -88,8 +79,6 @@ def caches_enabled() -> bool:
     return _enabled
 
 
-# repro: allow-D104 process-local switch: each pool worker configures its own cache layer
-# repro: effects=worker-safe
 def set_caches_enabled(on: bool) -> bool:
     """Flip the global cache switch; returns the previous setting.
 
@@ -124,8 +113,6 @@ def reset_caches() -> None:
         cache.clear()
 
 
-# repro: allow-D104 process-local switch: spawn-mode pool workers configure their own disk tier
-# repro: effects=worker-safe
 def set_disk_cache(path: Optional[str], max_bytes: Optional[int] = None) -> Optional[str]:
     """Point the persistent tier at ``path`` (None disables it).
 
@@ -144,8 +131,6 @@ def set_disk_cache(path: Optional[str], max_bytes: Optional[int] = None) -> Opti
     return previous
 
 
-# repro: allow-D104 lazy one-shot env resolution; each pool worker resolves its own copy
-# repro: effects=worker-safe
 def disk_cache() -> Optional[DiskCache]:
     """The active persistent tier, resolving ``REPRO_DISK_CACHE`` once."""
     global _DISK, _disk_resolved
@@ -212,82 +197,45 @@ class LRUCache:
     def clear(self) -> None:
         self._data.clear()
 
-    # repro: allow-D104 counter bumps are ledger-diverted in workers (cache_ledger) and replayed canonically by the parent
-    # repro: effects=worker-safe
     def get_or_build(self, key: Hashable, build: Callable[[Any], Any], arg: Any) -> Any:
         """Return the cached value for ``key``, building via ``build(arg)``
         on a miss.  Assumes the caller already checked
         :func:`caches_enabled` (the wrappers below do).
 
-        Under an active :func:`cache_ledger`, the lookup is recorded as
-        ``(name, key)`` and *no* counters are bumped: the crawl shard pool
-        replays the canonical lookup order through :class:`CacheReplay`
-        so hit/miss/evict totals stay independent of which process served
-        each lookup.  Values are still served and inserted normally.
-
         With a persistent tier active, a memory miss consults the disk
         before building: a disk hit is promoted into the memory tier
         (``.disk_hit`` + ``.promote``), a disk miss builds and persists
         the result (``.disk_miss`` + ``.write``).  ``.miss`` still counts
-        every memory miss — the disk counters subdivide it.  Ledgered
-        lookups keep the same disk behaviour with the counting deferred
-        to :class:`CacheReplay`'s disk shadow.
+        every memory miss — the disk counters subdivide it.
         """
-        global _LEDGER
         data = self._data
-        ledger = _LEDGER
-        if ledger is not None:
-            ledger.append((self.name, key))
         found = data.get(key, _MISSING)
         if found is not _MISSING:
             data.move_to_end(key)
-            if ledger is None:
-                PERF.count(self._hit)
+            PERF.count(self._hit)
             return found
+        PERF.count(self._miss)
         disk = disk_cache() if self.persistent else None
-        if ledger is None:
-            PERF.count(self._miss)
-            if disk is not None:
-                cached = disk.load(self.name, key)
-                if cached is not DISK_MISS:
-                    PERF.count(self._disk_hit)
-                    PERF.count(self._promote)
-                    data[key] = cached
-                    if len(data) > self.maxsize:
-                        data.popitem(last=False)
-                        PERF.count(self._evict)
-                    return cached
-                PERF.count(self._disk_miss)
-            value = build(arg)
-            if disk is not None and disk.store(self.name, key, value):
-                PERF.count(self._write)
-        else:
-            if disk is not None:
-                cached = disk.load(self.name, key)
-                if cached is not DISK_MISS:
-                    data[key] = cached
-                    if len(data) > self.maxsize:
-                        data.popitem(last=False)
-                    return cached
-            # Nested lookups made *by the build* (every derived cache's
-            # build parses through the dom cache) are discarded: whether
-            # they happen at all depends on this process's cache warmth,
-            # which is schedule-dependent under the shard pool.  The
-            # replay re-derives them from its own (canonical) miss state —
-            # see CacheReplay._NESTED_DOM.
-            _LEDGER = []
-            try:
-                value = build(arg)
-            finally:
-                _LEDGER = ledger
-            if disk is not None:
-                disk.store(self.name, key, value)
+        if disk is not None:
+            cached = disk.load(self.name, key)
+            if cached is not DISK_MISS:
+                PERF.count(self._disk_hit)
+                PERF.count(self._promote)
+                self._insert(key, cached)
+                return cached
+            PERF.count(self._disk_miss)
+        value = build(arg)
+        if disk is not None and disk.store(self.name, key, value):
+            PERF.count(self._write)
+        self._insert(key, value)
+        return value
+
+    def _insert(self, key: Hashable, value: Any) -> None:
+        data = self._data
         data[key] = value
         if len(data) > self.maxsize:
             data.popitem(last=False)
-            if ledger is None:
-                PERF.count(self._evict)
-        return value
+            PERF.count(self._evict)
 
     def memo_html(self, html: str, build: Callable[[str], Any]) -> Any:
         """Content-addressed :meth:`get_or_build` for HTML-derived values,
@@ -346,127 +294,3 @@ def render_document_cached(html: str, profile: Optional[VisitorProfile] = None) 
     if not _enabled:
         return render_document(parse_html(html))
     return _RENDER_CACHE.get_or_build((content_key(html), profile), _render_build, html)
-
-
-# --------------------------------------------------------------------- #
-# Canonical cache accounting for out-of-order cache users
-# --------------------------------------------------------------------- #
-
-
-@contextmanager
-# repro: allow-D104 the _LEDGER swap is process-local; workers divert cache counts into ledgers the parent replays
-# repro: effects=worker-safe
-def cache_ledger(entries: List[Tuple[str, Hashable]]) -> Iterator[List[Tuple[str, Hashable]]]:
-    """Record cache lookups into ``entries`` instead of PERF counters.
-
-    While active, every :meth:`LRUCache.get_or_build` call appends
-    ``(cache_name, key)`` to ``entries`` and bumps nothing; the real cache
-    still serves and stores values, so behaviour (and wall-time) is
-    unchanged.  The crawl shard pool collects one ledger per SERP
-    encounter — wherever the lookup actually ran — and replays the merged,
-    canonically-ordered sequence through :class:`CacheReplay`, which emits
-    the hit/miss/evict totals a single sequential process would have
-    counted.  Nests: the previous ledger (or live counting) is restored on
-    exit."""
-    global _LEDGER
-    previous = _LEDGER
-    _LEDGER = entries
-    try:
-        yield entries
-    finally:
-        _LEDGER = previous
-
-
-def registered_cache_maxsize(name: str) -> int:
-    """Capacity of the registered module-level cache called ``name``."""
-    for cache in _caches:
-        if cache.name == name:
-            return cache.maxsize
-    raise KeyError(f"no registered cache named {name!r}")
-
-
-def _shadow_bump(counts: Dict[str, int], name: str) -> None:
-    counts[name] = counts.get(name, 0) + 1
-
-
-class CacheReplay:
-    """Shadow LRU state that turns cache ledgers into canonical counters.
-
-    Keeps one key-only :class:`~collections.OrderedDict` per cache name
-    with exactly the real caches' move-to-end/evict semantics.  Replaying
-    ledger entries in canonical (sequential) order yields the hit/miss/
-    evict counts of a single-process run, independent of the process pool
-    schedule that actually served the lookups — which is what keeps
-    ``metrics.jsonl``'s ``cache_hit_rate`` column byte-identical across
-    ``--jobs`` levels.  Plain picklable state: rides inside checkpoints so
-    a resumed run continues counting from warm shadows even though the
-    fresh process's real caches start cold.
-
-    With a persistent tier active, :meth:`attach_disk` seeds a per-cache
-    *disk shadow* — the set of entry-file stems present when the run
-    started.  The shadow then evolves exactly as the canonical sequential
-    order would evolve the real directory (a counted ``write`` adds its
-    stem), so ``disk_hit``/``disk_miss``/``promote``/``write`` totals are
-    as schedule-independent as the memory counters.  The shadow never
-    evicts: the disk tier's cap is far above a study run's working set,
-    and an eviction would only perturb counters, never results."""
-
-    #: Class-level default so CacheReplay instances pickled before the
-    #: disk tier existed (old checkpoints) unpickle cleanly.
-    _disk: Optional[Dict[str, set]] = None
-
-    def __init__(self):
-        self._shadows: Dict[str, "OrderedDict[Hashable, None]"] = {}
-        self._sizes: Dict[str, int] = {}
-        self._disk = None
-
-    def attach_disk(self, snapshot: Dict[str, Iterable[str]]) -> None:
-        """Seed the disk shadow from ``DiskCache.index_snapshot()``."""
-        self._disk = {name: set(stems) for name, stems in snapshot.items()}
-
-    #: Caches whose build routes through :func:`parse_html_cached` exactly
-    #: once, keyed on the same content hash (the render cache key carries a
-    #: (hash, profile) pair; the rest key on the hash directly).  A miss on
-    #: one of these implies one nested dom lookup — recorded ledgers drop
-    #: nested entries (warmth-dependent), so the replay re-derives them
-    #: from its own shadow state instead.
-    _NESTED_DOM = frozenset({"render", "shingle", "notice", "features"})
-
-    def replay(self, entries: Iterable[Tuple[str, Hashable]]) -> Dict[str, int]:
-        """Feed ledger entries through the shadows; returns counter deltas
-        (``cache.<name>.hit`` / ``.miss`` / ``.evict``) for the caller to
-        commit into PERF."""
-        counts: Dict[str, int] = {}
-        for name, key in entries:
-            self._lookup(name, key, counts)
-        return counts
-
-    def _lookup(self, name: str, key: Hashable, counts: Dict[str, int]) -> None:
-        data = self._shadows.get(name)
-        if data is None:
-            data = self._shadows[name] = OrderedDict()
-            self._sizes[name] = registered_cache_maxsize(name)
-        if key in data:
-            data.move_to_end(key)
-            event = f"cache.{name}.hit"
-        else:
-            disk = None if self._disk is None else self._disk.get(name)
-            stem = entry_filename(key) if disk is not None else None
-            if disk is not None and stem in disk:
-                # Disk hit: the build is skipped, so no nested dom lookup.
-                _shadow_bump(counts, f"cache.{name}.disk_hit")
-                _shadow_bump(counts, f"cache.{name}.promote")
-            else:
-                if name in self._NESTED_DOM:
-                    # The build's inner parse happens before the outer insert.
-                    self._lookup("dom", key[0] if name == "render" else key, counts)
-                if disk is not None:
-                    _shadow_bump(counts, f"cache.{name}.disk_miss")
-                    _shadow_bump(counts, f"cache.{name}.write")
-                    disk.add(stem)
-            data[key] = None
-            if len(data) > self._sizes[name]:
-                data.popitem(last=False)
-                _shadow_bump(counts, f"cache.{name}.evict")
-            event = f"cache.{name}.miss"
-        counts[event] = counts.get(event, 0) + 1

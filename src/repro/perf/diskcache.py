@@ -23,10 +23,9 @@ fails the digest (or fails to unpickle, or was written under a different
 schema or deriving-code version) **degrades to a miss** — the entry is
 moved to ``quarantine/`` and the value is rebuilt, never served wrong and
 never allowed to crash the run.  All writes go through
-:func:`repro.util.atomicio.atomic_write`, so concurrent writers (crawl
-shard workers race the parent on hot pages) are idempotent: both write
-the same bytes to the same content address and the atomic rename makes
-either winner correct.
+:func:`repro.util.atomicio.atomic_write`, so concurrent writers (two runs
+sharing one directory) are idempotent: both write the same bytes to the
+same content address and the atomic rename makes either winner correct.
 
 The tier is size-capped: an in-memory index (rebuilt from a directory
 scan on open, persisted to the manifest periodically) drives
@@ -205,8 +204,7 @@ class DiskCache:
 
     def _scan(self) -> None:
         """Rebuild the entry index from the directory (the ground truth:
-        shard workers and concurrent runs write entries this process's
-        manifest never saw)."""
+        concurrent runs write entries this process's manifest never saw)."""
         self._index = {}
         self._total_bytes = 0
         for name in sorted(self.code_digests):
@@ -375,16 +373,6 @@ class DiskCache:
     # ----------------------------------------------------------------- #
     # Inspection / maintenance (the ``repro cache`` subcommand)
     # ----------------------------------------------------------------- #
-
-    def index_snapshot(self) -> Dict[str, frozenset]:
-        """Per-cache frozen sets of entry file stems present right now —
-        the disk shadow :class:`repro.perf.cache.CacheReplay` counts
-        against, so disk hit/miss totals stay canonical at any ``--jobs``
-        level (plain picklable data, rides inside checkpoints)."""
-        return {
-            name: frozenset(filename[:-4] for filename in files)
-            for name, files in self._index.items()
-        }
 
     def stats(self) -> dict:
         per_cache = {}

@@ -498,18 +498,17 @@ class Campaign:
         several of the vertical's terms (the only PSRs Google's root-only
         'hacked' label can mark, Section 5.2.2)."""
         from repro.seo.cloaking import DoorwayPageContext  # local to avoid cycle noise
-        from repro.seo.doorways import DoorwayPage, _make_responder
+        from repro.seo.doorways import DoorwayPage, _make_responder, seo_page
 
         root_terms = self._rng.sample(
             vertical.universe, min(len(vertical.universe), self._rng.randint(4, 6))
         )
         primary = root_terms[0]
-        seo_html = self.theme.doorway_seo_page(primary, vertical.name, f"{doorway.host}:rootinj")
         root = doorway.site.get_page("/")
-        original = root.html if isinstance(root, StaticPage) else None
         context = DoorwayPageContext(
-            campaign=self.name, vertical=vertical.name, term=primary,
-            landing_url=landing, seo_html=seo_html, original_html=original,
+            campaign=self.name, vertical=vertical.name, term=primary, landing_url=landing,
+            seo_page=seo_page("/", self.theme, primary, vertical.name, f"{doorway.host}:rootinj"),
+            original_page=root if isinstance(root, StaticPage) else None,
         )
         doorway.site.replace_page(DynamicPage("/", _make_responder(self.kit, context)))
         for term in root_terms:

@@ -22,6 +22,7 @@ from typing import Callable, Optional
 from repro.util.rng import RandomStreams, derive_seed
 from repro.util.simtime import SimDate
 from repro.web.fetch import PageResult, VisitorProfile
+from repro.web.sites import StaticPage
 
 
 class CloakingType(enum.Enum):
@@ -40,10 +41,10 @@ class DoorwayPageContext:
     #: Returns the current landing-store URL (C&C lookup); None if the
     #: campaign has no live store for the vertical.
     landing_url: Callable[[], Optional[str]]
-    #: Crawler-facing SEO content (generated once, cached).
-    seo_html: str
-    #: Original content for direct visitors on compromised hosts.
-    original_html: Optional[str] = None
+    #: Crawler-facing SEO content (generated on first serve, then kept).
+    seo_page: StaticPage
+    #: The compromised host's original page, shown to direct visitors.
+    original_page: Optional[StaticPage] = None
 
 
 class RedirectCloakingKit:
@@ -53,16 +54,16 @@ class RedirectCloakingKit:
 
     def respond(self, ctx: DoorwayPageContext, profile: VisitorProfile, day: SimDate) -> PageResult:
         if profile.looks_like_crawler:
-            return PageResult(html=ctx.seo_html)
+            return PageResult(html=ctx.seo_page.html)
         if profile.via_search:
             target = ctx.landing_url()
             if target is not None:
                 return PageResult(redirect_to=target)
-            return PageResult(html=ctx.seo_html)
+            return PageResult(html=ctx.seo_page.html)
         # Direct visitor: hide on compromised hosts, else show SEO page.
-        if ctx.original_html is not None:
-            return PageResult(html=ctx.original_html)
-        return PageResult(html=ctx.seo_html)
+        if ctx.original_page is not None:
+            return PageResult(html=ctx.original_page.html)
+        return PageResult(html=ctx.seo_page.html)
 
 
 def _js_escape(text: str) -> str:
@@ -80,10 +81,9 @@ class IframeObfuscator:
     matching reality, where detection works only because rendering works.
 
     Responses must be pure functions of (campaign, target): doorway pages
-    are fetched by the measurement crawl, simulated users, and test orders
-    in an order that the crawl's process sharding does not preserve, so a
-    stateful per-request stream here would make page bytes depend on fetch
-    order.  Split-write chunk sizes therefore come from a throwaway RNG
+    are fetched by the measurement crawl, simulated users, and test orders,
+    and a stateful per-request stream here would make page bytes depend on
+    fetch order.  Split-write chunk sizes therefore come from a throwaway RNG
     seeded per (campaign seed, markup) instead of a shared stream.
     """
 
@@ -146,9 +146,9 @@ class IframeCloakingKit:
     def respond(self, ctx: DoorwayPageContext, profile: VisitorProfile, day: SimDate) -> PageResult:
         target = ctx.landing_url()
         if target is None:
-            return PageResult(html=ctx.seo_html)
+            return PageResult(html=ctx.seo_page.html)
         script = self._obfuscator.script_for(target)
-        html = ctx.seo_html.replace(
+        html = ctx.seo_page.html.replace(
             "</body>", f'<script type="text/javascript">{_script_body(script)}</script></body>'
         )
         return PageResult(html=html)

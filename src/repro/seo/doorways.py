@@ -6,6 +6,10 @@ a vertical's search terms at keyword-friendly paths like
 ``/cheap-louis-vuitton-7.html``.  The root of a compromised site keeps
 serving the owner's original content — the behaviour that both hides the
 compromise from the owner and defeats Google's root-only "hacked" labeling.
+
+A doorway's keyword-stuffed HTML is built on first serve (see
+:func:`seo_page`): each page draws from its own ``doorway-page:{seed}``
+stream, so its bytes do not depend on when, or whether, it is served.
 """
 
 from __future__ import annotations
@@ -83,30 +87,28 @@ def build_doorway(
     rng = streams.child(f"doorway:{site.host}").get("build")
     quality = rng.uniform(0.4, 1.0)
     doorway = Doorway(campaign, vertical, site, compromised, day, quality)
-    original_html: Optional[str] = None
+    original_page: Optional[StaticPage] = None
     if compromised:
         site.kind = SiteKind.COMPROMISED
         root = site.get_page("/")
         if isinstance(root, StaticPage):
-            original_html = root.html
+            original_page = root
     else:
         if site.get_page("/") is None:
-            root_html = theme.doorway_seo_page(vertical.lower(), vertical, f"{site.host}:root")
-            site.add_page(StaticPage("/", html=root_html))
+            site.add_page(seo_page("/", theme, vertical.lower(), vertical, f"{site.host}:root"))
 
     for term in terms:
         suffix = rng.randint(1, 99)
         path = f"/{slugify(term)}-{suffix}.html"
         if site.get_page(path) is not None:
             path = f"/{slugify(term)}-{suffix}-{rng.randint(100, 999)}.html"
-        seo_html = theme.doorway_seo_page(term, vertical, f"{site.host}{path}")
         context = DoorwayPageContext(
             campaign=campaign,
             vertical=vertical,
             term=term,
             landing_url=landing_url,
-            seo_html=seo_html,
-            original_html=original_html,
+            seo_page=seo_page(path, theme, term, vertical, f"{site.host}{path}"),
+            original_page=original_page,
         )
         responder = _make_responder(kit, context)
         site.add_page(DynamicPage(path, responder))
@@ -116,6 +118,27 @@ def build_doorway(
             DoorwayPage(path=path, term=term, relevance=relevance, context=context)
         )
     return doorway
+
+
+class _DoorwaySeoHtml:
+    """Picklable generator for a doorway's keyword-stuffed page."""
+
+    __slots__ = ("theme", "term", "vertical", "page_seed")
+
+    def __init__(self, theme: TemplateTheme, term: str, vertical: str, page_seed: str):
+        self.theme = theme
+        self.term = term
+        self.vertical = vertical
+        self.page_seed = page_seed
+
+    def __call__(self) -> str:
+        return self.theme.doorway_seo_page(self.term, self.vertical, self.page_seed)
+
+
+def seo_page(path: str, theme: TemplateTheme, term: str, vertical: str,
+             page_seed: str) -> StaticPage:
+    """The crawler-facing SEO page for ``term``, built on first serve."""
+    return StaticPage(path, generator=_DoorwaySeoHtml(theme, term, vertical, page_seed))
 
 
 @dataclass

@@ -42,7 +42,6 @@ from repro.obs.metrics import MetricsRecorder
 from repro.obs.trace import TRACER
 from repro.perf.cache import disk_cache
 from repro.perf.gctune import low_pause_gc
-from repro.perf.shardpool import CrawlExecutor
 
 
 @dataclass
@@ -61,9 +60,6 @@ class StudyResults:
     labeled_pages: List[LabeledPage] = field(default_factory=list)
     #: Per-sim-day time series sampled while the simulation ran.
     metrics: Optional[MetricsRecorder] = None
-    #: Shard-pool accounting from the crawl executor (jobs, cpus, steals,
-    #: per-shard busy seconds) — see ``CrawlExecutor.stats()``.
-    shard_stats: Optional[dict] = None
 
     @property
     def supplier(self):
@@ -77,7 +73,7 @@ class StudyResults:
         row, PSR-curve quantiles per vertical, and seized-store lifetime
         brackets per firm.  Values are derived purely from the deterministic
         study artifacts, so two runs of the same scenario produce equal
-        trees at any ``--jobs`` level, cached or not.
+        trees, cached or not.
         """
         # Local imports: the analysis layer's ablation runner imports
         # StudyRun, so importing analysis at module level would cycle.
@@ -192,12 +188,10 @@ class StudyRun:
         self.classifier_lam = classifier_lam
         self.confidence_threshold = confidence_threshold
         self.classify = classify
-        #: Crawl shard processes.  Artifacts are byte-identical for any
-        #: value — the shard pool merges worker results in canonical order
-        #: (see repro.perf.shardpool; pinned in tests/test_shardpool.py).
-        self.jobs = jobs
-        #: Set by :meth:`execute`: ``CrawlExecutor.stats()`` of the run.
-        self.shard_stats: Optional[dict] = None
+        if jobs != 1:
+            # The crawl runs in this process; ``repro ablations`` is the
+            # one place that fans work out over processes.
+            raise ValueError(f"a study runs in one process: jobs must be 1, not {jobs!r}")
         #: Set by :meth:`execute` when checkpointing was on:
         #: ``Checkpointer.stats()`` (delta-store byte accounting).
         self.checkpoint_stats: Optional[dict] = None
@@ -235,26 +229,14 @@ class StudyRun:
                 every_days=self.checkpoint_every_days,
                 die_after_day=self.die_after_day,
             )
-        # One executor per run, reattached after resume at whatever --jobs
-        # level this invocation asked for (artifacts are identical either
-        # way, so cross-jobs resume is legal; the checkpoint drill does it).
-        executor = CrawlExecutor(
-            simulator, jobs=self.jobs,
-            retry_policy=crawler.fetcher.policy,
-            crawl_policy=crawler.policy,
-        )
-        crawler.attach_executor(executor)
         try:
             world = simulator.run(
                 observers=observers, start_index=start_index,
                 checkpointer=checkpointer,
             )
         finally:
-            self.shard_stats = executor.stats()
             if checkpointer is not None:
                 self.checkpoint_stats = checkpointer.stats()
-            crawler.detach_executor()
-            executor.shutdown()
             disk = disk_cache()
             if disk is not None:
                 # Persist lifetime hit/miss accounting; a warm run stores
@@ -292,7 +274,6 @@ class StudyRun:
             attribution=attribution,
             labeled_pages=labeled,
             metrics=recorder,
-            shard_stats=self.shard_stats,
         )
 
     def _simulation_state(self) -> Tuple[Simulator, List[object], int]:

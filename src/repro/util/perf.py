@@ -59,7 +59,6 @@ class PerfRegistry:
 
     # ------------------------------------------------------------------ #
 
-    # repro: effects=worker-safe
     def handle(self, name: str) -> TimerStat:
         """A persistent TimerStat for zero-lookup hot-path timing: hold the
         handle and call ``stat.add(elapsed)`` around ``perf_counter()``
@@ -82,7 +81,6 @@ class PerfRegistry:
     def count(self, name: str, n: int = 1) -> None:
         self._counters[name] = self._counters.get(name, 0) + n
 
-    # repro: effects=worker-safe
     def reset(self) -> None:
         # Zero in place so hot-path handles stay valid across resets.
         for stat in self._timers.values():

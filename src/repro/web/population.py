@@ -10,7 +10,8 @@ Two populations matter to the study:
 
 Legitimate pages never cloak: they return identical content to users and
 crawlers, which is what keeps the cloaking-based PSR definition free of
-false positives (Section 4.1).
+false positives (Section 4.1).  Their HTML is built on first serve: most
+pages never rank, so most are never fetched.
 """
 
 from __future__ import annotations
@@ -36,12 +37,33 @@ class LegitPageSpec:
     relevances: Dict[str, float] = field(default_factory=dict)
 
 
-def _legit_page_html(host: str, topic: str, seed_rng) -> str:
+class _LegitPageHtml:
+    """Picklable generator for one legitimate page (checkpointable state)."""
+
+    __slots__ = ("host", "topic", "paragraphs")
+
+    def __init__(self, host: str, topic: str, paragraphs: int):
+        self.host = host
+        self.topic = topic
+        self.paragraphs = paragraphs
+
+    def __call__(self) -> str:
+        return _legit_page_html(self.host, self.topic, self.paragraphs)
+
+
+def _legit_page(path: str, host: str, topic: str, rng) -> StaticPage:
+    """A legitimate page whose HTML is built on first serve.  The one draw
+    the content needs is taken now, so the caller's stream advances
+    exactly as if the page were built eagerly."""
+    return StaticPage(path, generator=_LegitPageHtml(host, topic, rng.randint(2, 5)))
+
+
+def _legit_page_html(host: str, topic: str, paragraphs: int) -> str:
     page = PageBuilder(title=f"{topic.title()} — {host}")
     page.meta("description", f"{topic} coverage and reviews from {host}")
     main = page.div(cls="article")
     main.add("h1", text=f"{topic.title()} guide")
-    for _ in range(seed_rng.randint(2, 5)):
+    for _ in range(paragraphs):
         main.add(
             "p",
             text=(
@@ -88,9 +110,7 @@ class BackgroundWebBuilder:
             page_count = rng.randint(1, 3)
             for index in range(page_count):
                 path = "/" if index == 0 else f"/{slugify(vertical_name)}-{index}.html"
-                topic = vertical_name.lower()
-                html = _legit_page_html(site.host, topic, rng)
-                site.add_page(StaticPage(path, html=html))
+                site.add_page(_legit_page(path, site.host, vertical_name.lower(), rng))
                 pages.append(LegitPageSpec(site=site, path=path))
         # Spread term relevance across the vertical's pages.
         for term in terms:
@@ -111,7 +131,7 @@ class BackgroundWebBuilder:
             site = Site(domain, SiteKind.LEGITIMATE, authority=authority, created_on=self.epoch)
             topic = rng.choice(("travel", "cooking", "photography", "gardening",
                                 "parenting", "fitness", "music", "woodworking"))
-            site.add_page(StaticPage("/", html=_legit_page_html(site.host, topic, rng)))
+            site.add_page(_legit_page("/", site.host, topic, rng))
             self.web.add_site(site)
             pool.append(site)
         return pool

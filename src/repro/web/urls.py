@@ -52,6 +52,8 @@ def parse_url(raw: str) -> Url:
 
     >>> parse_url("http://doorway.com/?key=cheap+beats")
     Url(scheme='http', host='doorway.com', path='/', query='key=cheap+beats')
+    >>> parse_url("http://a.com?x=1")
+    Url(scheme='http', host='a.com', path='/', query='x=1')
     """
     scheme, sep, rest = raw.partition("://")
     if not sep:
@@ -59,12 +61,16 @@ def parse_url(raw: str) -> Url:
     scheme = scheme.lower()
     if scheme not in ("http", "https"):
         raise ValueError(f"unsupported scheme {scheme!r} in {raw!r}")
-    host, slash, tail = rest.partition("/")
-    host = host.lower()
+    # The authority ends at the first "/" or "?", whichever comes first.
+    end = len(rest)
+    for mark in "/?":
+        found = rest.find(mark, 0, end)
+        if found != -1:
+            end = found
+    host = rest[:end].lower()
     if not host:
         raise ValueError(f"missing host in {raw!r}")
-    path = "/" + tail if slash else "/"
-    path, _, query = path.partition("?")
+    path, _, query = rest[end:].partition("?")
     return Url(scheme, host, path or "/", query)
 
 

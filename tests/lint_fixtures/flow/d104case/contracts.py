@@ -13,21 +13,12 @@ def truly_pure(a, b):
     return a + b
 
 
-class Gauge:
-    def __init__(self):
-        self.value = 0
-
-    # repro: effects=worker-safe
-    def add(self, amount):
-        self.value += amount
-
-
 # repro: effects=bogus
 def unknown_contract():
     return 1
 
 
-# repro: allow-D104 ledger writes here are diverted and replayed deterministically
+# repro: allow-D104 the counter is scratch state no artifact reads
 # repro: effects=pure
 def waived_impure(name):
     TOTALS[name] = TOTALS.get(name, 0) - 1

@@ -90,6 +90,20 @@ class TestFaultInjector(unittest.TestCase):
             b.fetch_fault(url, SEARCH_USER, DAY, attempt=3), in_order[3]
         )
 
+    def test_decisions_are_order_free(self):
+        """Decisions are pure functions of (url, visitor, day, attempt):
+        asking in reverse order, attempts swapped, gives the same answers."""
+        profile = PROFILES["monsoon"]
+        first = FaultInjector(profile, seed=9)
+        second = FaultInjector(profile, seed=9)
+        urls = [f"http://host{i}.example/p{i}.html" for i in range(30)]
+        forward = {(u, attempt): first.fetch_fault(u, SEARCH_USER, DAY, attempt)
+                   for u in urls for attempt in (1, 2)}
+        backward = {(u, attempt): second.fetch_fault(u, SEARCH_USER, DAY, attempt)
+                    for u in reversed(urls) for attempt in (2, 1)}
+        self.assertEqual(forward, backward)
+        self.assertTrue(any(forward.values()), "monsoon injected nothing")
+
     def test_clean_profile_never_injects(self):
         injector = FaultInjector(PROFILES["clean"], seed=0)
         for i in range(100):

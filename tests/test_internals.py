@@ -13,6 +13,8 @@ from repro.search import RankingModel, SearchEngine, SearchIndex
 from repro.web.domains import DomainRegistry
 from repro.web.sites import DynamicPage, Site, SiteKind
 from repro.web.fetch import PageResult, USER
+from repro.ecosystem import small_preset
+from repro.study import StudyRun
 
 
 class TestEventLog:
@@ -200,3 +202,10 @@ class TestWorldMisc:
         while world.take_compromise_target() is not None:
             pass
         assert world.take_compromise_target() is None
+
+
+def test_study_run_refuses_other_job_counts():
+    """A study runs in one process; ``jobs`` stays only as ``jobs=1``."""
+    StudyRun(small_preset(days=2), jobs=1)
+    with pytest.raises(ValueError, match="jobs must be 1"):
+        StudyRun(small_preset(days=2), jobs=2)

@@ -116,14 +116,6 @@ class TestRules(unittest.TestCase):
         report = deep_on(case)
         return report, [(f.code, Path(f.path).name, f.line) for f in report.findings]
 
-    def test_d101_worker_purity(self):
-        report, findings = self.findings("d101case")
-        self.assertEqual(findings, [("D101", "state.py", 7)])
-        # task fires, safe_task (read-only) and local_task (spawn-module
-        # global) stay quiet, waived_task's mutation is waived in waived.py.
-        self.assertEqual(report.suppressions_used, 1)
-        self.assertEqual(report.unused_suppression_sites, [])
-
     def test_d102_artifact_taint(self):
         report, findings = self.findings("d102case")
         self.assertEqual(findings, [("D102", "writer.py", 6)])
@@ -142,23 +134,17 @@ class TestRules(unittest.TestCase):
         _report, findings = self.findings("d102case")
         self.assertEqual([code for code, _, _ in findings], ["D102"])
 
-    def test_d103_merge_path_ordering(self):
-        report, findings = self.findings("d103case")
-        self.assertEqual(findings, [("D103", "merge.py", 17)])
-        self.assertIn("merge root", report.findings[0].message)
-        self.assertEqual(report.suppressions_used, 1)
-
     def test_d104_contract_verification(self):
         report, findings = self.findings("d104case")
         self.assertEqual(
             findings,
-            [("D104", "contracts.py", 6), ("D104", "contracts.py", 25)],
+            [("D104", "contracts.py", 6), ("D104", "contracts.py", 16)],
         )
         messages = [f.message for f in report.findings]
         self.assertIn("mutates-global", messages[0])      # declared pure, isn't
         self.assertIn("unknown effect contract", messages[1])
-        # truly_pure and the worker-safe mutates-self method stay quiet;
-        # waived_impure's violation is consumed by its allow-D104.
+        # truly_pure stays quiet; waived_impure's violation is consumed
+        # by its allow-D104.
         self.assertEqual(report.suppressions_used, 1)
 
     def test_d104_stray_annotation_reported(self):
@@ -198,7 +184,7 @@ class TestRules(unittest.TestCase):
         from repro.lint.flow import all_flow_rules
 
         only_d104 = [r for r in all_flow_rules() if r.code == "D104"]
-        report = deep_on("d101case", rules=only_d104)
+        report = deep_on("d102case", rules=only_d104)
         self.assertEqual(report.findings, [])
         self.assertEqual(report.rule_codes, ["D104"])
 
@@ -210,8 +196,8 @@ class TestSummaryCache(unittest.TestCase):
         self._tmpdir = tempfile.TemporaryDirectory()
         self.tmp = Path(self._tmpdir.name)
         self.addCleanup(self._tmpdir.cleanup)
-        self.pkg = self.tmp / "d103case"
-        shutil.copytree(FLOW_FIXTURES / "d103case", self.pkg)
+        self.pkg = self.tmp / "d102case"
+        shutil.copytree(FLOW_FIXTURES / "d102case", self.pkg)
         self.cache_dir = str(self.tmp / "flowcache")
 
     def analyze(self):
@@ -230,7 +216,7 @@ class TestSummaryCache(unittest.TestCase):
         self.assertEqual(warm.cache_misses, 0)
 
         # Touching content (not just mtime) re-summarizes only that module.
-        target = self.pkg / "merge.py"
+        target = self.pkg / "writer.py"
         target.write_text(target.read_text() + "\n\ndef extra():\n    return 1\n")
         edited = self.analyze()
         self.assertEqual(edited.cache_misses, 1)
@@ -239,7 +225,7 @@ class TestSummaryCache(unittest.TestCase):
         program, _effects, _stats = analyze_paths(
             [str(self.pkg)], cache_dir=self.cache_dir
         )
-        self.assertIn("d103case.merge.extra", program.functions)
+        self.assertIn("d102case.writer.extra", program.functions)
 
     def test_cache_disabled_runs_clean(self):
         _program, _effects, stats = analyze_paths([str(self.pkg)], cache_dir=None)
@@ -267,12 +253,15 @@ class TestShippedTreeDeep(unittest.TestCase):
 
     def test_real_roots_discovered(self):
         stats = self.report.stats
-        self.assertGreater(stats.worker_roots, 0)
-        self.assertGreater(stats.merge_roots, 0)
         self.assertGreater(stats.call_edges, 500)
+        # The ablation pool's worker is linked as a spawn edge, whose
+        # effects stay in the worker instead of reaching the caller.
+        spawned = {(e.caller, e.callee) for e in self.report.program.edges
+                   if e.kind == "spawn"}
         self.assertIn(
-            "repro.perf.shardpool.CrawlExecutor._merge_day",
-            self.report.program.merge_roots,
+            ("repro.analysis.ablations.run_intervention_ablations",
+             "repro.analysis.ablations._run_variant"),
+            spawned,
         )
 
     def test_graph_dump_shape(self):
@@ -331,18 +320,18 @@ class TestCommandLine(unittest.TestCase):
         self.assertEqual(payload["version"], "2.1.0")
         run = payload["runs"][0]
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        self.assertLessEqual({"D001", "D101", "D105"}, rule_ids)
+        self.assertLessEqual({"D001", "D102", "D105"}, rule_ids)
         result_rules = {r["ruleId"] for r in run["results"]}
         self.assertLessEqual(set(flow_rule_codes()), result_rules)
 
     def test_json_format_carries_deep_block(self):
         proc = run_cli(
-            "tests/lint_fixtures/flow/d103case", "--deep", "--format", "json",
+            "tests/lint_fixtures/flow/d102case", "--deep", "--format", "json",
             "--no-flow-cache",
         )
         payload = json.loads(proc.stdout)
         deep = payload["summary"]["deep"]
-        self.assertEqual(deep["by_rule"], {"D103": 1})
+        self.assertEqual(deep["by_rule"], {"D102": 1})
         self.assertEqual(deep["suppressions_used"], 1)
         self.assertIn("fixpoint_iterations", deep["stats"])
         self.assertEqual(len(payload["deep_findings"]), 1)

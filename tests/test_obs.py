@@ -165,8 +165,6 @@ class TestMetricsSchema:
             assert tuple(row) == TELEMETRY_COLUMNS
         # The serve-µs gauge carries signal on crawl days.
         assert any(row["serp_serve_us"] > 0 for row in rows)
-        # The inline executor still counts its tasks.
-        assert any(row["shard_tasks"] > 0 for row in rows)
 
     def test_write_load_round_trip_with_manifest(self, traced_run, tmp_path):
         results, _ = traced_run

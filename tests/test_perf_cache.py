@@ -1,8 +1,9 @@
 """The content-addressed caching layer: mechanics and equivalence.
 
 Two kinds of guarantee live here.  Mechanics: LRU bounds, hit/miss/evict
-accounting in the PERF registry, content addressing, StaticPage generator
-memoization, and SERP-memo invalidation on every mutation channel.
+accounting in the PERF registry (every lookup counted, over a whole
+study too), content addressing, StaticPage generator memoization, and
+SERP re-serves that track every mutation channel.
 Equivalence: a cached study run is *byte-identical* to a cache-disabled
 one, and multiprocess ablations return the same outcomes in the same
 order for any job count — caching and parallelism change wall-clock,
@@ -12,6 +13,7 @@ never results.
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import pytest
 
@@ -27,6 +29,7 @@ from repro.perf.cache import (
     parse_html_cached,
     render_document_cached,
     reset_caches,
+    set_caches_enabled,
 )
 from repro.search import ResultLabel, SearchEngine, SearchIndex
 from repro.study import StudyRun
@@ -199,40 +202,58 @@ def _tiny_engine():
     return engine, registry, day0
 
 
+def _page(serp):
+    return [(r.rank, r.url, r.score.hex(), r.label) for r in serp.results]
+
+
 class TestSerpMemo:
+    """Repeat serves of one (term, day).  The engine keeps no page memo:
+    ranking noise is a pure function of (term, day), so a repeat serve
+    recomputes an equal page, and one after an index or intervention
+    change reflects that change, exactly as a fresh engine would."""
+
     def test_repeat_serve_returns_memoized_page(self):
         engine, _, day0 = _tiny_engine()
         first = engine.serp("term", day0)
-        before = PERF.counters().get("cache.serp.hit", 0)
-        assert engine.serp("term", day0) is first
-        assert PERF.counters().get("cache.serp.hit", 0) == before + 1
+        second = engine.serp("term", day0)
+        assert second is not first
+        assert _page(second) == _page(first)
+        assert len(first.results) == 10
 
     def test_demotion_invalidates(self):
         engine, _, day0 = _tiny_engine()
         first = engine.serp("term", day0)
         engine.demote_host("host11.com", day0, amount=2.0)
         second = engine.serp("term", day0)
-        assert second is not first
         assert [r.url for r in second.results] != [r.url for r in first.results]
+        fresh, _, _ = _tiny_engine()
+        fresh.demote_host("host11.com", day0, amount=2.0)
+        assert _page(second) == _page(fresh.serp("term", day0))
 
     def test_label_invalidates(self):
         engine, _, day0 = _tiny_engine()
-        first = engine.serp("term", day0)
+        engine.serp("term", day0)
         engine.label_host("host3.com", day0, ResultLabel.HACKED)
         second = engine.serp("term", day0)
-        assert second is not first
         assert any(r.label is ResultLabel.HACKED for r in second.results
                    if r.host == "host3.com")
+        fresh, _, _ = _tiny_engine()
+        fresh.label_host("host3.com", day0, ResultLabel.HACKED)
+        assert _page(second) == _page(fresh.serp("term", day0))
 
     def test_index_mutation_invalidates(self):
         engine, registry, day0 = _tiny_engine()
-        first = engine.serp("term", day0)
+        engine.serp("term", day0)
         domain = registry.register("late.com", day0)
         site = Site(domain, SiteKind.LEGITIMATE, authority=0.95, created_on=day0)
         engine.index.add_page("term", site, "/", relevance=0.9)
         second = engine.serp("term", day0)
-        assert second is not first
         assert any(r.host == "late.com" for r in second.results)
+        fresh, fresh_registry, _ = _tiny_engine()
+        fresh_site = Site(fresh_registry.register("late.com", day0),
+                          SiteKind.LEGITIMATE, authority=0.95, created_on=day0)
+        fresh.index.add_page("term", fresh_site, "/", relevance=0.9)
+        assert _page(second) == _page(fresh.serp("term", day0))
 
     def test_serve_is_bit_identical_cached_or_not(self):
         engine, _, day0 = _tiny_engine()
@@ -240,8 +261,7 @@ class TestSerpMemo:
         fresh_engine, _, _ = _tiny_engine()
         with caches_disabled():
             plain = fresh_engine.serp("term", day0 + 4)
-        assert [(r.rank, r.url, r.score.hex(), r.label) for r in cached.results] == \
-               [(r.rank, r.url, r.score.hex(), r.label) for r in plain.results]
+        assert _page(cached) == _page(plain)
 
 
 def _study_bytes(tmp_path, name, days=25):
@@ -252,6 +272,34 @@ def _study_bytes(tmp_path, name, days=25):
     results.dataset.dump_jsonl(path)
     with open(path, "rb") as handle:
         return handle.read(), results
+
+
+def test_study_counts_every_cache_lookup(monkeypatch):
+    """Over a whole study, each cache's hit + miss equals the lookups made
+    on it: no lookup is left out of the counters (nor counted twice)."""
+    lookups = Counter()
+    get_or_build = LRUCache.get_or_build
+
+    def counting(self, key, build, arg):
+        lookups[self.name] += 1
+        return get_or_build(self, key, build, arg)
+
+    monkeypatch.setattr(LRUCache, "get_or_build", counting)
+    previous = set_caches_enabled(True)
+    try:
+        reset_caches()
+        before = PERF.counters()
+        StudyRun(small_preset(days=20), crawl_policy=CrawlPolicy(stride_days=2)).execute()
+        after = PERF.counters()
+    finally:
+        set_caches_enabled(previous)
+
+    def delta(name):
+        return after.get(name, 0) - before.get(name, 0)
+
+    assert {"dom", "render", "shingle", "notice", "features"} <= set(lookups)
+    for name, count in sorted(lookups.items()):
+        assert delta(f"cache.{name}.hit") + delta(f"cache.{name}.miss") == count, name
 
 
 class TestCachedStudyEquivalence:

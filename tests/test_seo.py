@@ -185,7 +185,8 @@ class TestRedirectCloaking:
         kit = RedirectCloakingKit()
         ctx = DoorwayPageContext(
             campaign="K", vertical="V", term="t",
-            landing_url=lambda: None, seo_html="<html><body>seo</body></html>",
+            landing_url=lambda: None,
+            seo_page=StaticPage("/t.html", html="<html><body>seo</body></html>"),
         )
         result = kit.respond(ctx, SEARCH_USER, day0)
         assert result.redirect_to is None

@@ -3,14 +3,15 @@
 Pins the ISSUE-8 contract:
 
 * a study run with ``--disk-cache`` is byte-identical to one without it
-  — cold or warm, at any ``--jobs`` level — and the warm run actually
-  reads from disk (``disk_hit`` counters increment);
+  — cold or warm — and the warm run actually reads from disk
+  (``disk_hit`` counters increment);
 * corrupted / truncated / stale-schema disk entries degrade to misses
   and are quarantined, never served;
 * the delta checkpointer writes a fraction of the whole-pickle bytes at
   ``--checkpoint-every 1`` while kill + resume stays byte-identical,
-  including resuming at a different ``--jobs`` level with a warm disk
-  cache, and compaction bounds the store;
+  including resuming over a warm disk cache, and compaction bounds the
+  store; a checkpoint of another schema, or one naming classes this code
+  no longer has, is refused with :class:`CheckpointError`;
 * the ``repro cache`` CLI reports, validates, and clears the store.
 """
 
@@ -19,7 +20,10 @@ import io
 import json
 import os
 import pickle
+import random
+import sys
 import tempfile
+import types
 import unittest
 from pathlib import Path
 
@@ -28,6 +32,7 @@ from repro.ecosystem import small_preset
 from repro.faults import SimulatedCrash
 from repro.faults.checkpoint import (
     CHECKPOINT_SCHEMA,
+    Checkpointer,
     CheckpointError,
     chunk_spans,
     load_checkpoint,
@@ -37,6 +42,7 @@ from repro.perf.cache import disk_cache, reset_caches, set_disk_cache
 from repro.perf.diskcache import DISK_MISS, DiskCache, entry_filename
 from repro.study import StudyRun
 from repro.util.perf import PERF
+from repro.util.simtime import SimDate
 
 DAYS = 14
 
@@ -49,7 +55,8 @@ def _psr_bytes(results) -> bytes:
 
 
 def _serp_fingerprint(results):
-    """Final-day SERP re-serves, scores included (see test_shardpool)."""
+    """Final-day SERP re-serves, scores included: a run must leave the
+    engine (and the world feeding it) exactly as its reference does."""
     world = results.world
     day = world.window.end
     fingerprint = []
@@ -62,9 +69,8 @@ def _serp_fingerprint(results):
     return fingerprint
 
 
-def _study(jobs=1, **kwargs):
-    return StudyRun(small_preset(days=DAYS), classify=False,
-                    jobs=jobs, **kwargs)
+def _study(**kwargs):
+    return StudyRun(small_preset(days=DAYS), classify=False, **kwargs)
 
 
 class DiskTierBase(unittest.TestCase):
@@ -206,35 +212,6 @@ class TestWarmStartStudy(DiskTierBase):
             self.assertEqual(disk_writes, 0,
                              f"warm run re-stored entries: {deltas}")
 
-    def test_warm_jobs2_identical(self):
-        baseline = _study().execute()
-        expected = _psr_bytes(baseline)
-        with tempfile.TemporaryDirectory() as tmp:
-            set_disk_cache(os.path.join(tmp, "dcache"))
-            reset_caches()
-            _study().execute()  # cold leg populates the store
-            reset_caches()
-            warm = _study(jobs=2).execute()
-            self.assertEqual(_psr_bytes(warm), expected)
-
-    def test_disk_contents_independent_of_jobs(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            set_disk_cache(os.path.join(tmp, "d1"))
-            reset_caches()
-            _study().execute()
-            set_disk_cache(os.path.join(tmp, "d2"))
-            reset_caches()
-            _study(jobs=2).execute()
-            set_disk_cache(None)
-            # Fresh instances rescan the directories — the live parent
-            # index does not see shard-worker writes.
-            seq = DiskCache(os.path.join(tmp, "d1")).index_snapshot()
-            par = DiskCache(os.path.join(tmp, "d2")).index_snapshot()
-            self.assertEqual(
-                {name: frozenset(stems) for name, stems in seq.items()},
-                {name: frozenset(stems) for name, stems in par.items()},
-            )
-
 
 class TestChunkSpans(unittest.TestCase):
     def test_spans_cover_exactly(self):
@@ -308,7 +285,10 @@ class TestDeltaCheckpoint(DiskTierBase):
             self.assertFalse(os.path.exists(ckpt))
 
     def test_cross_jobs_warm_resume(self):
-        """Kill sharded with a disk cache, resume sequential and warm."""
+        """Kill a run that fills the disk cache; a resume asking for
+        another ``jobs`` level is refused before it touches the store, and
+        the ``jobs=1`` resume in a fresh (memory-cold) process reads the
+        cache warm and finishes byte-identical."""
         baseline = _study().execute()
         expected = _psr_bytes(baseline)
         with tempfile.TemporaryDirectory() as tmp:
@@ -316,13 +296,22 @@ class TestDeltaCheckpoint(DiskTierBase):
             reset_caches()
             ckpt = os.path.join(tmp, "run.ckpt")
             with self.assertRaises(SimulatedCrash):
-                _study(jobs=2, checkpoint_path=ckpt,
+                _study(jobs=1, checkpoint_path=ckpt,
                        checkpoint_every_days=1, die_after_day=7).execute()
+            head = Path(os.path.join(ckpt, "HEAD")).read_bytes()
+            with self.assertRaisesRegex(ValueError, "jobs must be 1"):
+                _study(jobs=2, checkpoint_path=ckpt, resume=True)
+            self.assertEqual(Path(os.path.join(ckpt, "HEAD")).read_bytes(), head)
             reset_caches()  # new-process simulation; disk stays warm
-            resumed_run = _study(checkpoint_path=ckpt, resume=True)
+            before = dict(PERF.counters())
+            resumed_run = _study(jobs=1, checkpoint_path=ckpt, resume=True)
             resumed = resumed_run.execute()
             self.assertEqual(resumed_run.resumed_from_day, 8)
             self.assertEqual(_psr_bytes(resumed), expected)
+            disk_hits = sum(value - before.get(name, 0)
+                            for name, value in PERF.counters().items()
+                            if name.endswith(".disk_hit"))
+            self.assertGreater(disk_hits, 0)
 
     def test_tampered_chunk_refuses_resume(self):
         with tempfile.TemporaryDirectory() as tmp:
@@ -346,6 +335,54 @@ class TestDeltaCheckpoint(DiskTierBase):
                 load_checkpoint(legacy, small_preset(days=DAYS))
             self.assertIn("schema", str(caught.exception))
             self.assertNotEqual(CHECKPOINT_SCHEMA, 1)
+
+    def test_schema2_checkpoint_refused(self):
+        """A store written before the object graph changed is refused up
+        front, naming both schemas, instead of failing inside unpickling."""
+        with tempfile.TemporaryDirectory() as tmp:
+            ckpt = os.path.join(tmp, "run.ckpt")
+            with self.assertRaises(SimulatedCrash):
+                _study(checkpoint_path=ckpt, die_after_day=2).execute()
+            head_path = os.path.join(ckpt, "HEAD")
+            head = json.loads(Path(head_path).read_text())
+            head["schema"] = 2
+            Path(head_path).write_text(json.dumps(head))
+            with self.assertRaises(CheckpointError) as caught:
+                load_checkpoint(ckpt, small_preset(days=DAYS))
+            message = str(caught.exception)
+            self.assertIn("schema 2", message)
+            self.assertIn(f"supported {CHECKPOINT_SCHEMA}", message)
+
+    def test_payload_naming_a_missing_class_refused(self):
+        """A payload that passes every digest check but pickles a class
+        this code no longer has raises CheckpointError, not a bare
+        AttributeError from inside ``pickle.loads``."""
+        module = types.ModuleType("repro_checkpoint_fixture")
+
+        class Retired:
+            pass
+
+        Retired.__module__ = module.__name__
+        Retired.__qualname__ = "Retired"
+        module.Retired = Retired
+        config = small_preset(days=DAYS)
+        simulator = types.SimpleNamespace(
+            world=types.SimpleNamespace(today=None),
+            _traffic_rng=random.Random(0),
+            retired=Retired(),
+        )
+        sys.modules[module.__name__] = module
+        try:
+            with tempfile.TemporaryDirectory() as tmp:
+                ckpt = os.path.join(tmp, "run.ckpt")
+                Checkpointer(ckpt, config).save(simulator, [], 0, SimDate("2013-11-13"))
+                del module.Retired
+                with self.assertRaises(CheckpointError) as caught:
+                    load_checkpoint(ckpt, config)
+                self.assertIn("Retired", str(caught.exception))
+                self.assertIsInstance(caught.exception.__cause__, AttributeError)
+        finally:
+            del sys.modules[module.__name__]
 
 
 class TestCacheCli(DiskTierBase):

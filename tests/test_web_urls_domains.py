@@ -22,6 +22,12 @@ class TestParseUrl:
     def test_default_path(self):
         assert parse_url("http://example.com").path == "/"
 
+    def test_query_without_path(self):
+        url = parse_url("http://a.com?x=1")
+        assert url == Url("http", "a.com", "/", "x=1")
+        assert registered_domain(parse_url("http://shop.a.com?x=1&y=/z").host) == "a.com"
+        assert parse_url("http://shop.a.com?x=1&y=/z").query == "x=1&y=/z"
+
     def test_host_lowercased(self):
         assert parse_url("http://EXAMPLE.com/").host == "example.com"
 
