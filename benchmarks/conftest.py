@@ -17,6 +17,8 @@ DESIGN.md documents.
 from __future__ import annotations
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,10 @@ import benchlib
 from repro import StudyRun
 from repro.crawler import CrawlPolicy
 from repro.ecosystem import paper_preset
+
+#: The repository root, so benchmarks can import tier-1 test helpers
+#: (the scalar SERP reference, ``tests/serp_reference.py``).
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 SCALE = 0.25
 TERMS_PER_VERTICAL = 8

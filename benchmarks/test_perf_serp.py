@@ -5,9 +5,9 @@ Builds the ecosystem at the default benchmark scale (the same
 campaign and intervention state so the index carries doorways, penalties,
 and labels, then serves monitored terms through
 
-* ``scalar_serp`` — a line-faithful copy of the pre-columnar engine's
-  scoring loop, including its per-entry dataclass results and id()-keyed
-  static-score cache, and
+* ``scalar_serp`` (``tests/serp_reference.py``) — a line-faithful copy
+  of the pre-columnar engine's scoring loop, including its per-entry
+  dataclass results and id()-keyed static-score cache, and
 * ``SearchEngine.serp`` — the columnar path under test.
 
 The two must agree field-for-field — identical ordering and labels,
@@ -27,17 +27,13 @@ import gc
 import os
 import statistics
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.ecosystem import paper_preset
 from repro.ecosystem.simulator import Simulator
-from repro.search.engine import SearchEngine
-from repro.search.index import IndexedEntry, no_seo_signal
-from repro.search.serp import ResultLabel
-from repro.util.simtime import SimDate
 
 from benchlib import print_comparison, write_bench_json
+from tests.serp_reference import scalar_serp
 
 #: Default benchmark scale — mirrors benchmarks/conftest.py.  The CI perf
 #: smoke overrides these down via environment variables.
@@ -46,80 +42,6 @@ TERMS_PER_VERTICAL = int(os.environ.get("REPRO_BENCH_TERMS", "8"))
 AT_DEFAULT_SCALE = "REPRO_BENCH_SCALE" not in os.environ
 WARMUP_DAYS = 60
 TIMING_REPS = int(os.environ.get("REPRO_BENCH_REPS", "20"))
-
-
-@dataclass
-class _SeedResult:
-    """The seed engine's SearchResult was a dataclass; the reference loop
-    keeps paying its construction cost to stay a faithful 'before'."""
-
-    rank: int
-    url: str
-    host: str
-    path: str
-    label: ResultLabel
-    score: float
-    entry: Optional[IndexedEntry]
-
-
-def scalar_serp(
-    engine: SearchEngine,
-    static_cache: Dict[int, float],
-    term: str,
-    day,
-) -> List[_SeedResult]:
-    """The pre-columnar ``SearchEngine.serp`` body, verbatim in structure:
-    per-entry gauss noise, python-level scoring, key-lambda sort, host-cap
-    fill.  Reads the live engine's state so both paths rank the same
-    world."""
-    day = SimDate(day)
-    gauss = engine._noise.for_serp(term, day)
-    w_seo = engine.ranking.w_seo
-    w_auth = engine.ranking.w_authority
-    w_rel = engine.ranking.w_relevance
-    penalties = engine._penalties
-    scored: List[Tuple[float, IndexedEntry]] = []
-    for entry in engine.index.candidates(term):
-        indexed_on = entry.indexed_on
-        if indexed_on is not None and day < indexed_on:
-            continue
-        key = id(entry)
-        static = static_cache.get(key)
-        if static is None:
-            static = w_auth * entry.authority + w_rel * entry.relevance
-            static_cache[key] = static
-        score = static + gauss()
-        signal = entry.seo_signal
-        if signal is not no_seo_signal:
-            score += w_seo * signal(day)
-        penalty = penalties.get(entry.host)
-        if penalty is not None and penalty.since <= day:
-            score -= penalty.amount
-        scored.append((score, entry))
-    scored.sort(key=lambda pair: -pair[0])
-
-    results: List[_SeedResult] = []
-    per_host: Dict[str, int] = {}
-    for score, entry in scored:
-        count = per_host.get(entry.host, 0)
-        if count >= engine.max_results_per_host:
-            continue
-        per_host[entry.host] = count + 1
-        rank = len(results) + 1
-        results.append(
-            _SeedResult(
-                rank=rank,
-                url=entry.url,
-                host=entry.host,
-                path=entry.path,
-                label=engine._result_label(entry.host, entry.path, day),
-                score=score,
-                entry=entry,
-            )
-        )
-        if rank >= engine.serp_size:
-            break
-    return results
 
 
 def _mid_study_world():

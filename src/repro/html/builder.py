@@ -3,13 +3,56 @@
 Campaign page templates (doorways, storefronts, seizure notices) are built
 with this rather than string concatenation, so generated markup is always
 well-formed and the parser/classifier round-trip is exact.
+
+**Round-trip contract.**  ``parse_html(builder.html())`` is the builder's
+own tree: the same tags, attribute items in the same order, and the same
+child kinds and data.  The helpers keep it on their own: :meth:`script`
+writes every ``</script`` in its code as ``<\\/script``, and
+:meth:`comment` refuses text containing ``--``.  Code that reaches the
+tree directly (``Element.add``, ``append``, ``attrs``) keeps it by giving
+attributes lower-case names and ``str`` values, putting no children under
+void elements (``img``, ``meta``, ``input``...), and adding no empty or
+adjacent text nodes (``Element.add`` already skips empty text).
+``tests/test_html.py`` checks every page family the simulator builds
+against its parse.
+
+**Hand-off.**  :meth:`PageBuilder.html` remembers the tree behind each of
+its last few outputs (:func:`built_tree`), so the shared DOM cache adopts
+that tree on a miss instead of parsing the string it was just serialized
+to (:func:`repro.perf.cache.parse_html_cached`).  A builder is therefore
+done once :meth:`~PageBuilder.html` returns: its tree may already be
+shared, and like every cached DOM it must stay frozen.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, Optional
 
 from repro.html.nodes import Comment, Document, Element, Text
+
+#: How many recent :meth:`PageBuilder.html` outputs keep their tree.  A
+#: built page is parsed, if at all, by the fetch that made it build: on
+#: the benchmark's crawls 98% of adoptions take the newest tree and the
+#: rest the one before it.  More would only hold trees the DOM cache has.
+_BUILT_MAX = 2
+
+#: Exact serialized string -> the tree it came from, oldest first.
+_built: "OrderedDict[str, Document]" = OrderedDict()
+
+
+def built_tree(html: str) -> Optional[Document]:
+    """The tree one of the last few :meth:`PageBuilder.html` calls
+    serialized to exactly ``html``, or None.  Any other string (a
+    truncated or edited copy, say) finds nothing and must be parsed."""
+    return _built.get(html)
+
+
+def escape_script(code: str) -> str:
+    """``code`` with every ``</script`` written ``<\\/script``: the same
+    JavaScript, but the ``script`` element holding it closes only where
+    its markup does."""
+    return code.replace("</script", "<\\/script")
 
 
 class PageBuilder:
@@ -45,10 +88,12 @@ class PageBuilder:
             attrs["src"] = src
         el = self._body.add("script", attrs)
         if code:
-            el.append(Text(code))
+            el.append(Text(escape_script(code)))
         return self
 
     def comment(self, text: str) -> "PageBuilder":
+        if "--" in text:
+            raise ValueError(f"comment text must not contain '--': {text!r}")
         self._body.append(Comment(text))
         return self
 
@@ -89,4 +134,11 @@ class PageBuilder:
         return self.doc
 
     def html(self) -> str:
-        return self.doc.to_html()
+        """The document's markup; its tree is remembered for
+        :func:`built_tree` (see the module docstring)."""
+        html = self.doc.to_html()
+        _built[html] = self.doc
+        _built.move_to_end(html)
+        if len(_built) > _BUILT_MAX:
+            _built.popitem(last=False)
+        return html

@@ -15,6 +15,10 @@ Layers built on this module:
   :class:`~repro.html.nodes.Document` objects are shared between callers
   and MUST be treated as immutable; every consumer wired through it
   (shingling, feature extraction, notice mining, rendering) only reads.
+  A miss on a page the simulator has just built adopts the builder's own
+  tree (:func:`repro.html.builder.built_tree`) instead of parsing the
+  string back: the builder's round-trip contract makes the two equal.
+  It still counts as a miss, and the disk tier still stores the value.
 * :func:`render_document_cached` — parse + mini-JS render, keyed on
   ``(content hash, visitor profile)``; the profile rides in the key because
   a renderer's view is profile-dependent even though the fetched HTML
@@ -49,6 +53,7 @@ from contextlib import contextmanager
 from hashlib import blake2b
 from typing import Any, Callable, Hashable, Iterator, List, Optional
 
+from repro.html.builder import built_tree
 from repro.html.nodes import Document
 from repro.html.parser import parse_html
 from repro.perf.diskcache import DISK_MISS, DiskCache
@@ -275,7 +280,14 @@ def parse_html_cached(html: str) -> Document:
     """
     if not _enabled:
         return parse_html(html)
-    return _DOM_CACHE.get_or_build(content_key(html), parse_html, html)
+    return _DOM_CACHE.get_or_build(content_key(html), _parse_or_adopt, html)
+
+
+def _parse_or_adopt(html: str) -> Document:
+    # Most misses are pages a PageBuilder serialized moments ago: take its
+    # tree, which parses back to itself, rather than re-derive it.
+    tree = built_tree(html)
+    return parse_html(html) if tree is None else tree
 
 
 def _render_build(html: str) -> Document:

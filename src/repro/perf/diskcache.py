@@ -47,7 +47,7 @@ import pickle
 import zlib
 from collections import OrderedDict
 from hashlib import blake2b
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro.util.atomicio import atomic_write
 
@@ -68,17 +68,21 @@ _FLUSH_EVERY = 256
 #: value (the notice cache remembers None verdicts).
 DISK_MISS = object()
 
+#: Modules whose source defines every cached DOM: the parser, the node
+#: classes, and the builder, whose trees the DOM cache adopts on a miss.
+_DOM_MODULES = ("repro.html.parser", "repro.html.nodes", "repro.html.builder")
+
 #: Caches whose values persist, with the modules whose source defines
 #: their derivation.  A change to any deriving module changes that
 #: cache's code digest and retires its entries (quarantined on validate,
 #: missed before that) — the disk tier must never serve a value an older
 #: build derived differently.
 PERSISTENT_CACHES: Dict[str, Tuple[str, ...]] = {
-    "dom": ("repro.html.parser", "repro.html.nodes"),
-    "render": ("repro.html.parser", "repro.html.nodes", "repro.web.render"),
-    "shingle": ("repro.html.parser", "repro.html.nodes", "repro.crawler.dagger"),
-    "features": ("repro.html.parser", "repro.html.nodes", "repro.classify.features"),
-    "notice": ("repro.html.parser", "repro.html.nodes", "repro.interventions.notices"),
+    "dom": _DOM_MODULES,
+    "render": _DOM_MODULES + ("repro.web.render",),
+    "shingle": _DOM_MODULES + ("repro.crawler.dagger",),
+    "features": _DOM_MODULES + ("repro.classify.features",),
+    "notice": _DOM_MODULES + ("repro.interventions.notices",),
 }
 
 

@@ -13,11 +13,11 @@ Interventions (Section 3.2.1):
 Serving is columnar (the simulator calls :meth:`SearchEngine.serp` once per
 (term, day), making it the hot path of every study run): per-term candidate
 arrays come from :meth:`SearchIndex.columns`, static scores and penalty
-columns are cached against the index's per-term version counter and a
-penalty epoch respectively, noise is drawn in one batch from the same
-seeded stream the scalar loop used, and top-k selection runs through
-``np.argpartition`` with a full-sort fallback when the host-clustering cap
-exhausts the partition.
+and label columns are cached per term against those columns (which grow
+in place) and a penalty or label epoch, noise is drawn in one batch from
+the same seeded stream the scalar loop used, and top-k selection runs
+through ``np.argpartition`` with a full-sort fallback when the
+host-clustering cap exhausts the partition.
 """
 
 from __future__ import annotations
@@ -81,20 +81,39 @@ class SearchEngine:
         #: behind.
         self._penalty_epoch = 0
         self._labels_epoch = 0
-        #: term -> (columns-object, static-score array).  Keyed by the
-        #: TermColumns *identity*, which the index replaces on every term
-        #: mutation — so stale statics (including id()-recycled entries
-        #: after a deindex/re-add cycle) can never be served.
+        self._clear_column_caches()
+
+    def _clear_column_caches(self) -> None:
+        """The per-term caches derived from the index's columns.  Each
+        keys on the TermColumns *identity* plus the number of rows it
+        covers: columns only grow in place (a cache short of rows is
+        stale), and the index builds new columns after a removal — so
+        stale statics (including id()-recycled entries after a
+        deindex/re-add cycle) can never be served."""
+        #: term -> (columns, static-score array over the covered rows).
         self._static_cache: Dict[str, Tuple[TermColumns, np.ndarray]] = {}
-        #: term -> (columns, epoch, penalized positions, amounts, since-ords).
+        #: term -> (columns, rows, epoch, penalized positions, amounts,
+        #: since-ords).
         self._penalty_cache: Dict[
-            str, Tuple[TermColumns, int, np.ndarray, np.ndarray, np.ndarray]
+            str, Tuple[TermColumns, int, int, np.ndarray, np.ndarray, np.ndarray]
         ] = {}
-        #: term -> (columns, epoch, per-entry label since-ords, per-entry
-        #: resolved labels).
+        #: term -> (columns, rows, epoch, per-entry label since-ords,
+        #: per-entry resolved labels).
         self._label_cache: Dict[
-            str, Tuple[TermColumns, int, np.ndarray, List[ResultLabel]]
+            str, Tuple[TermColumns, int, int, np.ndarray, List[ResultLabel]]
         ] = {}
+
+    def __getstate__(self) -> dict:
+        # Derived from the index and the intervention maps, and rebuilt by
+        # the first serve after a load: checkpoints need not carry them.
+        state = self.__dict__.copy()
+        for name in ("_static_cache", "_penalty_cache", "_label_cache"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._clear_column_caches()
 
     # ------------------------------------------------------------------ #
     # Intervention levers
@@ -141,11 +160,19 @@ class SearchEngine:
     # ------------------------------------------------------------------ #
 
     def _static_for(self, term: str, cols: TermColumns) -> np.ndarray:
+        """Authority and relevance terms of the score, per candidate.  The
+        cache grows with the columns: only rows it lacks are computed,
+        with the per-element arithmetic of a full build."""
         cached = self._static_cache.get(term)
+        start = 0
         if cached is not None and cached[0] is cols:
-            return cached[1]
-        static = self.ranking.w_authority * cols.authority
-        static += self.ranking.w_relevance * cols.relevance
+            start = len(cached[1])
+            if start == len(cols):
+                return cached[1]
+        static = self.ranking.w_authority * cols.authority[start:]
+        static += self.ranking.w_relevance * cols.relevance[start:]
+        if start:
+            static = np.concatenate((cached[1], static))
         self._static_cache[term] = (cols, static)
         return static
 
@@ -156,8 +183,12 @@ class SearchEngine:
         entries — usually a small fraction of the term's candidates —
         rebuilt only when penalties or candidates change."""
         cached = self._penalty_cache.get(term)
-        if cached is not None and cached[0] is cols and cached[1] == self._penalty_epoch:
-            return cached[2], cached[3], cached[4]
+        n = len(cols)
+        if (
+            cached is not None and cached[0] is cols and cached[1] == n
+            and cached[2] == self._penalty_epoch
+        ):
+            return cached[3], cached[4], cached[5]
         positions: List[int] = []
         amounts: List[float] = []
         sinces: List[int] = []
@@ -173,7 +204,7 @@ class SearchEngine:
             np.asarray(amounts, dtype=np.float64),
             np.asarray(sinces, dtype=np.int64),
         )
-        self._penalty_cache[term] = (cols, self._penalty_epoch) + columns
+        self._penalty_cache[term] = (cols, n, self._penalty_epoch) + columns
         return columns
 
     def _labels_for(
@@ -183,9 +214,12 @@ class SearchEngine:
         resolution bakes in the root-only "hacked" policy, so serving only
         needs a day comparison per result."""
         cached = self._label_cache.get(term)
-        if cached is not None and cached[0] is cols and cached[1] == self._labels_epoch:
-            return cached[2], cached[3]
-        n = len(cols.entries)
+        n = len(cols)
+        if (
+            cached is not None and cached[0] is cols and cached[1] == n
+            and cached[2] == self._labels_epoch
+        ):
+            return cached[3], cached[4]
         sinces = np.full(n, _NEVER, dtype=np.int64)
         resolved: List[ResultLabel] = [ResultLabel.NONE] * n
         labels = self._labels
@@ -203,7 +237,7 @@ class SearchEngine:
                 continue
             sinces[i] = state.since.ordinal
             resolved[i] = label
-        self._label_cache[term] = (cols, self._labels_epoch, sinces, resolved)
+        self._label_cache[term] = (cols, n, self._labels_epoch, sinces, resolved)
         return sinces, resolved
 
     # ------------------------------------------------------------------ #

@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from repro.html.builder import escape_script
 from repro.util.rng import RandomStreams, derive_seed
 from repro.util.simtime import SimDate
 from repro.web.fetch import PageResult, VisitorProfile
@@ -149,15 +150,9 @@ class IframeCloakingKit:
             return PageResult(html=ctx.seo_page.html)
         script = self._obfuscator.script_for(target)
         html = ctx.seo_page.html.replace(
-            "</body>", f'<script type="text/javascript">{_script_body(script)}</script></body>'
+            "</body>", f'<script type="text/javascript">{escape_script(script)}</script></body>'
         )
         return PageResult(html=html)
-
-
-def _script_body(script: str) -> str:
-    # Scripts are embedded verbatim; the HTML parser treats script content
-    # as raw text so no escaping is needed beyond avoiding '</script'.
-    return script.replace("</script", "<\\/script")
 
 
 def make_kit(cloaking_type: CloakingType, streams: RandomStreams, campaign: str):

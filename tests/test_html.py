@@ -1,14 +1,20 @@
 """Tests for the HTML substrate: DOM, parser, builder."""
 
 import html as _htmllib
+import pickle
 import re
+from collections import Counter
 from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.html import Document, Element, Text, Comment, PageBuilder, parse_html
+from repro.html.builder import built_tree
 from repro.html.nodes import VOID_ELEMENTS
+from repro.perf.cache import parse_html_cached, reset_caches, set_caches_enabled
+from repro.web.fetch import SEARCH_USER
+from repro.web.sites import StaticPage
 
 
 # --------------------------------------------------------------------- #
@@ -314,16 +320,6 @@ class TestTokenizer:
 
 
 class TestParser:
-    def test_roundtrip_builder_output(self):
-        builder = PageBuilder(title="T")
-        builder.paragraph("hello world")
-        builder.div(cls="c", text="d")
-        html = builder.html()
-        doc = parse_html(html)
-        assert doc.title() == "T"
-        assert len(doc.find_all("p")) >= 1
-        assert doc.to_html() == parse_html(doc.to_html()).to_html()
-
     def test_unclosed_tags_tolerated(self):
         doc = parse_html("<div><p>one<p>two</div>")
         assert "one" in doc.text_content()
@@ -411,3 +407,172 @@ class TestPageBuilder:
         page = PageBuilder().iframe("http://s.com/", "100%", "100%", frameborder="0")
         doc = parse_html(page.html())
         assert doc.find_all("iframe")[0].get("frameborder") == "0"
+
+    def test_script_code_cannot_close_its_element(self):
+        code = "document.write('<script src=x></script>');"
+        page = PageBuilder().script(code=code)
+        scripts = parse_html(page.html()).find_all("script")
+        assert len(scripts) == 1
+        assert scripts[0].text_content() == "document.write('<script src=x><\\/script>');"
+
+    @pytest.mark.parametrize("text", ["a--b", "--", "x-->"])
+    def test_comment_refuses_double_hyphen(self, text):
+        with pytest.raises(ValueError):
+            PageBuilder().comment(text)
+
+
+def _family(doc: Document) -> str:
+    """Which page template built ``doc``, from the markup each one leaves."""
+    ids = {el.get("id") for el in doc.iter()}
+    classes = set(" ".join(el.get("class") for el in doc.iter()).split())
+    for family, marks, marked in (
+        ("seizure notice", ids, "seizure-notice"),
+        ("checkout with order number", ids, "order-no"),
+        ("checkout", classes, "checkout-form"),
+        ("store home", classes, "product-grid"),
+        ("product", classes, "product-detail"),
+        ("doorway SEO", classes, "seo-content"),
+        ("legitimate", classes, "article"),
+    ):
+        if marked in marks:
+            return family
+    return "unknown"
+
+
+_FAMILIES = {
+    "seizure notice", "checkout with order number", "checkout", "store home",
+    "product", "doorway SEO", "legitimate",
+}
+
+#: Text of every kind the helpers take: markup characters, entities, the
+#: script close tag, comment hyphens, quotes, and non-ASCII.
+_builder_text = st.lists(
+    st.one_of(
+        st.sampled_from(["<", ">", "&", "&amp;", "&#1;", '"', "'", "/", "=", "-",
+                         "</script", "</SCRIPT>", "<!--", "-->", "</p>", " ", "\n"]),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=8,
+).map("".join)
+_attr_name = st.from_regex(r"[a-z_:][-a-z0-9_:.]{0,6}", fullmatch=True)
+
+
+@st.composite
+def _built_pages(draw) -> PageBuilder:
+    """A page from a random run of builder helper calls."""
+    page = PageBuilder(title=draw(_builder_text), lang=draw(_builder_text))
+    parents = [None]
+    for _ in range(draw(st.integers(0, 12))):
+        op = draw(st.sampled_from(
+            ["meta", "stylesheet", "script", "comment", "div", "heading",
+             "paragraph", "link", "image", "iframe"]))
+        text = draw(_builder_text)
+        if op == "meta":
+            page.meta(text, draw(_builder_text))
+        elif op == "stylesheet":
+            page.stylesheet(text)
+        elif op == "script":
+            page.script(code=text, src=draw(_builder_text))
+        elif op == "comment":
+            page.comment(text.replace("-", ""))
+        elif op == "div":
+            parents.append(page.div(cls=text, id_=draw(_builder_text),
+                                    text=draw(_builder_text)))
+        elif op == "heading":
+            page.heading(text, level=draw(st.integers(1, 6)))
+        elif op == "paragraph":
+            page.paragraph(text, cls=draw(_builder_text))
+        elif op == "link":
+            page.link(draw(_builder_text), text, parent=draw(st.sampled_from(parents)))
+        elif op == "image":
+            page.image(text, draw(_builder_text), parent=draw(st.sampled_from(parents)))
+        else:
+            extra = draw(st.dictionaries(_attr_name, _builder_text, max_size=3))
+            page.iframe(text, draw(_builder_text), draw(_builder_text), **extra)
+    return page
+
+
+class TestBuilderRoundTrip:
+    """PageBuilder's round-trip contract: a built tree equals the parse of
+    its own markup, which is what lets the DOM cache adopt built trees."""
+
+    def test_every_page_family_equals_its_parse(self, world, monkeypatch):
+        """Rebuilds every page the small-preset world serves — legitimate,
+        doorway SEO, store home, product, checkout (with and without an
+        order number) and seizure-notice pages — and compares each tree
+        the builder serialized with the parse of that markup."""
+        built = []
+        serialize = PageBuilder.html
+
+        def recording(builder):
+            html = serialize(builder)
+            built.append((builder.doc, html))
+            return html
+
+        monkeypatch.setattr(PageBuilder, "html", recording)
+        replica = pickle.loads(pickle.dumps(world))
+        pages = [page for site in replica.web.sites() for page in site.pages()]
+        pages += [
+            page.context.seo_page
+            for campaign in replica.campaigns()
+            for doorway in campaign.doorways
+            for page in doorway.pages
+        ]
+        for page in pages:
+            if isinstance(page, StaticPage):
+                page.regenerate()
+                assert page.html
+        for site in replica.web.sites():
+            for path in site.paths():
+                replica.web.fetch(site.url(path), SEARCH_USER, replica.today)
+
+        families = Counter(_family(doc) for doc, _ in built)
+        assert set(families) == _FAMILIES, families
+        for doc, html in built:
+            assert _shape(doc) == _shape(parse_html(html)), _family(doc)
+
+    @given(_built_pages())
+    def test_builder_helpers_equal_their_parse(self, page):
+        html = page.html()
+        assert _shape(page.build()) == _shape(parse_html(html))
+
+
+class TestBuiltTreeHandOff:
+    """On a miss the DOM cache adopts the tree a PageBuilder just
+    serialized; any other string is parsed."""
+
+    @pytest.fixture(autouse=True)
+    def _cold_cache(self):
+        previous = set_caches_enabled(True)
+        reset_caches()
+        yield
+        set_caches_enabled(previous)
+        reset_caches()
+
+    @staticmethod
+    def _page() -> PageBuilder:
+        page = PageBuilder(title="Shop & Save")
+        page.comment("tpl:shop:1234")
+        page.div(cls="shell", id_="main", text="Top <deals>")
+        page.paragraph("Free shipping", cls="note")
+        page.script(code="var a = '</script>';")
+        return page
+
+    def test_built_page_is_adopted(self):
+        page = self._page()
+        html = page.html()
+        assert built_tree(html) is page.doc
+        assert parse_html_cached(html) is page.doc
+
+    @pytest.mark.parametrize("damage", [
+        lambda html: html[: len(html) // 2],
+        lambda html: html.replace("<p", "<q", 1),
+    ], ids=["truncated", "garbled"])
+    def test_damaged_copies_are_parsed(self, damage):
+        page = self._page()
+        copy = damage(page.html())
+        assert built_tree(copy) is None
+        doc = parse_html_cached(copy)
+        assert doc is not page.doc
+        assert _shape(doc) == _shape(parse_html(copy))
+        assert _shape(doc) != _shape(page.doc)

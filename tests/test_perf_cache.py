@@ -302,6 +302,52 @@ def test_study_counts_every_cache_lookup(monkeypatch):
         assert delta(f"cache.{name}.hit") + delta(f"cache.{name}.miss") == count, name
 
 
+def test_built_tree_hand_off_changes_nothing_observable(monkeypatch, tmp_path):
+    """A small study with the DOM cache adopting built trees, and again
+    with every adoption refused (each miss parses), gives the same
+    ``cache.*`` counters, metrics rows and PSR records."""
+    import repro.perf.cache as cache_module
+
+    def run(name):
+        reset_caches()
+        before = PERF.counters()
+        results = StudyRun(small_preset(), classify=False).execute()
+        after = PERF.counters()
+        counters = {
+            key: after[key] - before.get(key, 0)
+            for key in after if key.startswith("cache.")
+        }
+        path = os.path.join(str(tmp_path), name)
+        results.metrics.write_jsonl(path)
+        results.dataset.dump_jsonl(path + ".psrs")
+        with open(path, "rb") as metrics, open(path + ".psrs", "rb") as psrs:
+            return counters, metrics.read(), psrs.read()
+
+    previous = set_caches_enabled(True)
+    try:
+        adopted = Counter()
+        built_tree = cache_module.built_tree
+
+        def counting(html):
+            tree = built_tree(html)
+            adopted[tree is not None] += 1
+            return tree
+
+        monkeypatch.setattr(cache_module, "built_tree", counting)
+        shipped = run("shipped")
+        monkeypatch.setattr(cache_module, "built_tree", lambda html: None)
+        parsed = run("parsed")
+    finally:
+        set_caches_enabled(previous)
+        reset_caches()
+
+    assert adopted[True] > adopted[False] > 0
+    assert shipped[0]["cache.dom.miss"] > 0
+    assert shipped[0] == parsed[0]
+    assert shipped[1] == parsed[1]
+    assert shipped[2] == parsed[2]
+
+
 class TestCachedStudyEquivalence:
     def test_psr_records_byte_identical(self, tmp_path):
         reset_caches()

@@ -39,7 +39,13 @@ from repro.faults.checkpoint import (
 )
 from repro.faults.profiles import PROFILES
 from repro.perf.cache import disk_cache, reset_caches, set_disk_cache
-from repro.perf.diskcache import DISK_MISS, DiskCache, entry_filename
+from repro.perf.diskcache import (
+    DISK_MISS,
+    PERSISTENT_CACHES,
+    DiskCache,
+    derivation_digests,
+    entry_filename,
+)
 from repro.study import StudyRun
 from repro.util.perf import PERF
 from repro.util.simtime import SimDate
@@ -181,6 +187,31 @@ class TestDiskCacheUnit(DiskTierBase):
                             entry_filename((b"\x01\x02", "b")))
 
 
+class TestDerivationDigests(unittest.TestCase):
+    def test_builder_change_retires_every_dom_derived_cache(self):
+        """The DOM cache adopts PageBuilder trees on a miss, and every
+        persistent cache derives from cached DOMs, so an edit to the
+        builder must retire the entries of all five."""
+        import repro.html.builder as builder
+
+        self.assertEqual(set(PERSISTENT_CACHES),
+                         {"dom", "render", "shingle", "features", "notice"})
+        for name, modules in PERSISTENT_CACHES.items():
+            self.assertIn("repro.html.builder", modules, name)
+        before = derivation_digests()
+        original = builder.__file__
+        with tempfile.TemporaryDirectory() as tmp:
+            edited = os.path.join(tmp, "builder.py")
+            Path(edited).write_bytes(Path(original).read_bytes() + b"# edited\n")
+            builder.__file__ = edited
+            try:
+                after = derivation_digests()
+            finally:
+                builder.__file__ = original
+        for name in PERSISTENT_CACHES:
+            self.assertNotEqual(before[name], after[name], name)
+
+
 class TestWarmStartStudy(DiskTierBase):
     """Cold → warm study runs over a shared disk dir are byte-identical."""
 
@@ -263,6 +294,25 @@ class TestDeltaCheckpoint(DiskTierBase):
             )
             # Completion cleared the store.
             self.assertFalse(os.path.exists(os.path.join(tmp, "run.ckpt")))
+
+    def test_checkpoint_leaves_out_serp_columns_and_resume_serves_same(self):
+        """The index's columns and the engine's score caches derive from
+        the candidate lists and intervention maps: a checkpoint leaves
+        them out, and the serves after a resume rebuild them to the same
+        pages, scores included."""
+        baseline = _study().execute()
+        world = baseline.world
+        self.assertTrue(world.index._columns)
+        self.assertTrue(world.engine._static_cache)
+        self.assertNotIn(b"TermColumns", pickle.dumps(baseline.simulator))
+        with tempfile.TemporaryDirectory() as tmp:
+            ckpt = os.path.join(tmp, "run.ckpt")
+            with self.assertRaises(SimulatedCrash):
+                _study(checkpoint_path=ckpt, checkpoint_every_days=1,
+                       die_after_day=7).execute()
+            resumed = _study(checkpoint_path=ckpt, resume=True).execute()
+        self.assertEqual(_psr_bytes(resumed), _psr_bytes(baseline))
+        self.assertEqual(_serp_fingerprint(resumed), _serp_fingerprint(baseline))
 
     def test_kill_resume_every_day_under_monsoon(self):
         profile = PROFILES["monsoon"]
