@@ -282,23 +282,12 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="files or directories to lint (default: src)")
     lint.add_argument("--select", default=None, metavar="CODES",
                       help="comma-separated rule codes to run (default: all)")
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
+    lint.add_argument("--format", choices=("text", "json"),
                       default="text", dest="fmt", help="output format")
     lint.add_argument("--summary", default=None, metavar="PATH",
                       help="write BENCH_lint.json-style summary counts")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule table and exit")
-    lint.add_argument("--deep", action="store_true",
-                      help="also run the interprocedural flow analyzer "
-                           "(D102, D104, D105)")
-    lint.add_argument("--graph", choices=("json",), default=None,
-                      help="with --deep: dump the import/call graph instead "
-                           "of findings")
-    lint.add_argument("--flow-cache", default=None, metavar="DIR",
-                      help="per-module summary cache directory for --deep "
-                           "(default: .repro_flow_cache)")
-    lint.add_argument("--no-flow-cache", action="store_true",
-                      help="disable the --deep summary cache")
     return parser
 
 
@@ -857,43 +846,14 @@ def command_cache(args) -> int:
 
 
 def command_lint(args) -> int:
-    from repro.lint.flow import all_flow_rules, deep_lint, flow_rule_codes, graph_dump
-    from repro.lint.sarif import format_sarif
-
-    flow_codes = set(flow_rule_codes())
     selected = args.select.split(",") if args.select else None
-    deep_selected = None
-    if selected is not None:
-        selected = [code.strip() for code in selected if code.strip()]
-        deep_selected = [code for code in selected if code in flow_codes]
-        selected = [code for code in selected if code not in flow_codes]
-        if deep_selected and not args.deep:
-            print(
-                f"repro lint: {','.join(deep_selected)} are interprocedural "
-                "rules; add --deep to run them",
-                file=sys.stderr,
-            )
-            return 2
-    if args.graph and not args.deep:
-        print("repro lint: --graph requires --deep", file=sys.stderr)
-        return 2
     try:
-        # select_rules treats an empty selection as "all rules", so when
-        # the user picked only deep codes, bypass it with an empty list.
-        if selected is not None and not selected and deep_selected:
-            rules = []
-        else:
-            rules = select_rules(selected)
+        rules = select_rules(selected)
     except ValueError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
-    flow_rules = []
-    if args.deep:
-        flow_rules = list(all_flow_rules())
-        if deep_selected is not None:
-            flow_rules = [r for r in flow_rules if r.code in deep_selected]
     if args.list_rules:
-        for rule in list(rules) + list(flow_rules):
+        for rule in rules:
             print(f"{rule.code}  {rule.name:24s} {rule.hint}")
         return 0
     try:
@@ -901,29 +861,13 @@ def command_lint(args) -> int:
     except FileNotFoundError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
-    deep = None
-    if args.deep:
-        cache_dir = None if args.no_flow_cache else (
-            args.flow_cache or ".repro_flow_cache"
-        )
-        try:
-            deep = deep_lint(args.paths, cache_dir=cache_dir, rules=flow_rules)
-        except FileNotFoundError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-    ok = report.ok and (deep is None or deep.ok)
-    if args.graph:
-        print(json.dumps(graph_dump(deep.program, deep.stats), indent=2))
-    elif args.fmt == "sarif":
-        findings = list(report.findings) + (list(deep.findings) if deep else [])
-        print(format_sarif(findings, list(rules) + list(flow_rules)))
-    elif args.fmt == "json":
-        print(format_json(report, deep))
+    if args.fmt == "json":
+        print(format_json(report))
     else:
-        print(format_text(report, deep))
+        print(format_text(report))
     if args.summary:
-        write_summary(report, args.summary, deep)
-    return 0 if ok else 1
+        write_summary(report, args.summary)
+    return 0 if report.ok else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:

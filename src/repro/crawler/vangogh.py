@@ -15,7 +15,7 @@ from typing import List, Optional
 
 from repro.util.perf import PERF
 from repro.util.simtime import SimDate
-from repro.html.nodes import Document, Element
+from repro.html.nodes import Element
 from repro.perf.cache import render_document_cached
 from repro.web.fetch import RENDERING_CRAWLER, Response, SEARCH_USER
 from repro.web.hosting import Web
@@ -36,10 +36,10 @@ def _dimension_is_fullpage(value: str) -> bool:
         return False
 
 
-def find_fullpage_iframes(doc: Document) -> List[Element]:
-    """Iframes visually occupying the whole viewport."""
+def find_fullpage_iframes(iframes: List[Element]) -> List[Element]:
+    """The iframes among ``iframes`` visually occupying the whole viewport."""
     hits = []
-    for iframe in doc.find_all("iframe"):
+    for iframe in iframes:
         width = iframe.get("width")
         height = iframe.get("height")
         if width and height and _dimension_is_fullpage(width) and _dimension_is_fullpage(height):
@@ -88,11 +88,11 @@ class VanGogh:
         # the common case for doorways re-checked across crawl days — skip
         # the parse + script-execution pass entirely.
         rendered = render_document_cached(response.html, RENDERING_CRAWLER)
-        fullpage = find_fullpage_iframes(rendered)
+        iframes = rendered.find_all("iframe")
+        fullpage = find_fullpage_iframes(iframes)
         if not fullpage:
             return VanGoghResult(
-                url, False, None, None, len(rendered.find_all("iframe")),
-                fault=response.fault,
+                url, False, None, None, len(iframes), fault=response.fault,
             )
         src = fullpage[0].get("src")
         landing: Optional[Response] = None
@@ -108,6 +108,6 @@ class VanGogh:
             iframe_cloaked=True,
             iframe_src=src or None,
             landing_response=landing,
-            rendered_iframe_count=len(rendered.find_all("iframe")),
+            rendered_iframe_count=len(iframes),
             fault=response.fault,
         )

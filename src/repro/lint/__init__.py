@@ -3,7 +3,9 @@
 The reproduction's claims rest on bit-exact reruns (golden SERPs,
 hash-seed- and cache-independent runs); this package enforces the hazard classes the
 codebase has actually hit — most notably PR 1's ``id()``-recycling cache
-bug — mechanically instead of by review.  Run it with::
+bug — mechanically instead of by review.  Each rule looks at one file;
+whether the program as a whole gives the same bytes for the same seed is
+checked by running it (``tests/test_determinism.py``).  Run it with::
 
     python -m repro lint src/ benchmarks/
     python -m repro lint --select D004,D005 --format json src/
@@ -19,6 +21,9 @@ D005    set / dict-view iteration feeding ordered output without ``sorted``
 D006    mutable default arguments
 D007    module-level state written from ``ThreadPoolExecutor`` workers
 D008    bare ``except:`` / ``except Exception: pass``
+D009    unbounded ``while True`` retry loops; ``time.sleep`` as backoff
+D010    a worker pool constructed inside a loop (build one, reuse it)
+D011    raw write-mode ``open()`` instead of ``atomic_write``
 ======  ==========================================================
 """
 

@@ -332,8 +332,7 @@ def lint_paths(
                 used += 1
             elif any(code in active_codes for code in suppression.codes):
                 # A waiver is only "unused" when a rule it names actually
-                # ran: deep-pass (D1xx) waivers are invisible to a shallow
-                # run, and `--select D004` must not flag allow-D005 sites.
+                # ran: `--select D004` must not flag allow-D005 sites.
                 unused_sites.append((result.path, suppression.line))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return LintReport(

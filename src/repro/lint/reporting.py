@@ -26,26 +26,10 @@ with this schema (stable; version-bumped on breaking change)::
       }
     }
 
-``--summary PATH`` writes just the ``summary`` object (plus ``version``)
-to a file — the ``BENCH_lint.json`` artifact CI tracks so suppression
-creep between PRs shows up as a diff, mirroring the ``BENCH_*.json``
-perf baselines.
-
-When the deep pass ran (``--deep``), every format gains a ``deep`` block::
-
-    "deep": {
-      "rules": ["D102", ...],
-      "findings": 0,
-      "by_rule": {},
-      "suppressions_used": 10,
-      "suppressions_unused": 0,
-      "unused_suppressions": [],
-      "stats": {             // graph sizes + analyzer cost
-        "modules": 144, "functions": 981, "call_edges": 1151, ...
-        "cache_hits": 0, "cache_misses": 144,
-        "summarize_s": ..., "analyze_s": ..., "total_s": ...
-      }
-    }
+``--summary PATH`` writes just the ``summary`` object (plus ``version``
+and the run manifest) to a file — the ``BENCH_lint.json`` artifact CI's
+lint job uploads on every run, so suppression creep between commits
+shows up as a diff.
 """
 
 from __future__ import annotations
@@ -59,14 +43,10 @@ from repro.lint.core import LintReport
 SCHEMA_VERSION = 1
 
 
-def format_text(report: LintReport, deep=None) -> str:
+def format_text(report: LintReport) -> str:
     """One ``path:line: D00x message`` row per finding, plus a summary line."""
     lines: List[str] = [finding.format_text() for finding in report.findings]
-    if deep is not None:
-        lines.extend(finding.format_text() for finding in deep.findings)
     lines.append(summary_line(report))
-    if deep is not None:
-        lines.append(deep_summary_line(deep))
     return "\n".join(lines)
 
 
@@ -85,26 +65,8 @@ def summary_line(report: LintReport) -> str:
     )
 
 
-def deep_summary_line(deep) -> str:
-    stats = deep.stats
-    status = "ok" if deep.ok else f"{len(deep.findings)} finding(s)"
-    extra = ""
-    if deep.unused_suppression_sites:
-        stale = ", ".join(
-            f"{path}:{line}" for path, line in deep.unused_suppression_sites
-        )
-        extra = f", {len(deep.unused_suppression_sites)} unused suppression(s): {stale}"
-    return (
-        f"repro.lint --deep: {status} "
-        f"({len(deep.rule_codes)} rules, {stats.modules} modules, "
-        f"{stats.call_edges} call edges, {deep.suppressions_used} "
-        f"suppression(s) used, cache {stats.cache_hits} hit / "
-        f"{stats.cache_misses} miss, {stats.total_s:.2f}s{extra})"
-    )
-
-
-def summary_dict(report: LintReport, deep=None) -> dict:
-    payload = {
+def summary_dict(report: LintReport) -> dict:
+    return {
         "files": report.files,
         "rules": list(report.rule_codes),
         "findings": len(report.findings),
@@ -115,37 +77,18 @@ def summary_dict(report: LintReport, deep=None) -> dict:
             [path, line] for path, line in report.unused_suppression_sites
         ],
     }
-    if deep is not None:
-        payload["deep"] = deep_dict(deep)
-    return payload
 
 
-def deep_dict(deep) -> dict:
-    return {
-        "rules": list(deep.rule_codes),
-        "findings": len(deep.findings),
-        "by_rule": deep.by_rule,
-        "suppressions_used": deep.suppressions_used,
-        "suppressions_unused": len(deep.unused_suppression_sites),
-        "unused_suppressions": [
-            [path, line] for path, line in deep.unused_suppression_sites
-        ],
-        "stats": deep.stats.to_dict(),
-    }
-
-
-def format_json(report: LintReport, deep=None) -> str:
+def format_json(report: LintReport) -> str:
     payload = {
         "version": SCHEMA_VERSION,
         "findings": [finding.to_json() for finding in report.findings],
-        "summary": summary_dict(report, deep),
+        "summary": summary_dict(report),
     }
-    if deep is not None:
-        payload["deep_findings"] = [finding.to_json() for finding in deep.findings]
     return json.dumps(payload, indent=2, sort_keys=False)
 
 
-def write_summary(report: LintReport, path: str, deep=None) -> None:
+def write_summary(report: LintReport, path: str) -> None:
     """Write the BENCH_lint.json-style summary-count artifact.
 
     Like every BENCH writer, the file carries the shared run manifest so
@@ -153,7 +96,7 @@ def write_summary(report: LintReport, path: str, deep=None) -> None:
     from repro.obs.manifest import run_manifest
 
     payload = {"version": SCHEMA_VERSION, "manifest": run_manifest()}
-    payload.update(summary_dict(report, deep))
+    payload.update(summary_dict(report))
     from repro.util.atomicio import atomic_write
 
     with atomic_write(path) as handle:

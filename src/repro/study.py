@@ -217,7 +217,17 @@ class StudyRun:
         with low_pause_gc():
             with TRACER.span("study", seed=self.config.seed,
                              days=len(self.config.window)):
-                return self._execute()
+                try:
+                    return self._execute()
+                finally:
+                    disk = disk_cache()
+                    if disk is not None:
+                        # Persist the entry index and lifetime hit/miss
+                        # accounting once simulation and classification
+                        # have both used the store, even if the run failed;
+                        # a warm run stores little, so the store-driven
+                        # flush may never have fired.
+                        disk.flush()
 
     def _execute(self) -> StudyResults:
         simulator, observers, start_index = self._simulation_state()
@@ -237,11 +247,6 @@ class StudyRun:
         finally:
             if checkpointer is not None:
                 self.checkpoint_stats = checkpointer.stats()
-            disk = disk_cache()
-            if disk is not None:
-                # Persist lifetime hit/miss accounting; a warm run stores
-                # little, so the store-driven flush may never have fired.
-                disk.flush()
         if checkpointer is not None:
             # The run completed: a stale checkpoint would otherwise make a
             # later --resume replay the tail of this finished window.

@@ -71,10 +71,7 @@ class TestFixtures(unittest.TestCase):
         self.assertEqual(sorted(report.by_rule), registered_codes())
 
     def test_fixture_totals(self):
-        # Top-level fixtures only: flow/ holds the --deep (D1xx) fixture
-        # packages, which are shallow-clean by design (see test_lint_flow).
-        shallow_only = sorted(str(p) for p in FIXTURES.glob("*.py"))
-        report = lint_paths(shallow_only, all_rules(), root=str(REPO_ROOT))
+        report = lint_paths([str(FIXTURES)], all_rules(), root=str(REPO_ROOT))
         self.assertEqual(len(report.findings), 22)
         self.assertEqual(report.files, len(EXPECTED))
         # One waived case per fixture, none stale.
