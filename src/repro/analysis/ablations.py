@@ -25,6 +25,7 @@ proxy interventions ultimately target):
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 from dataclasses import dataclass, replace
 from time import perf_counter
@@ -77,7 +78,14 @@ def run_ablation(
     """Run one scenario variant and collect the outcome metrics."""
     with low_pause_gc():
         with TRACER.span("ablation", variant=name):
-            return _run_ablation(name, config, crawl_stride)
+            outcome = _run_ablation(name, config, crawl_stride)
+    # The variant's world is garbage now and full of reference cycles (a
+    # store's page factory is bound to its campaign, which lists the
+    # store).  Only a full pass frees them, and the next variant's
+    # low-pause scope would defer that pass again, so several dead worlds
+    # could stay resident in one process.
+    gc.collect()
+    return outcome
 
 
 def _run_ablation(

@@ -18,7 +18,7 @@ Layers built on this module:
   A miss on a page the simulator has just built adopts the builder's own
   tree (:func:`repro.html.builder.built_tree`) instead of parsing the
   string back: the builder's round-trip contract makes the two equal.
-  It still counts as a miss, and the disk tier still stores the value.
+  It still counts as a miss.  This cache is memory-only.
 * :func:`render_document_cached` — parse + mini-JS render, keyed on
   ``(content hash, visitor profile)``; the profile rides in the key because
   a renderer's view is profile-dependent even though the fetched HTML
@@ -42,7 +42,10 @@ fresh process warm-starts from artifacts a previous run derived.  It is
 enabled per-run (``--disk-cache DIR`` / :func:`set_disk_cache`) or via
 ``REPRO_DISK_CACHE=<dir>``; every persistent cache reports
 ``cache.<name>.disk_hit/.disk_miss/.promote/.write`` alongside the
-memory counters.
+memory counters.  Only the derived caches persist.  The caches compose:
+each derived value is built from a cached DOM, and a hit on it skips
+that DOM lookup entirely, so a warm run never reaches the DOM cache and
+persisted DOMs would cost every cold run writes that no warm run reads.
 """
 
 from __future__ import annotations
@@ -263,7 +266,7 @@ class LRUCache:
 #: distinct pages fit in a couple of GB; undersizing is far worse — at
 #: scale 0.25 a 2048-entry cache *thrashed* (50k evictions, hit rate
 #: under 50%) and re-parsed pages it had just dropped.
-_DOM_CACHE = LRUCache("dom", maxsize=65536, persistent=True)
+_DOM_CACHE = LRUCache("dom", maxsize=65536)
 
 #: Rendered-view cache (parse + mini-JS execution).  Sized like the DOM
 #: cache: every page the rendering crawler revisits between content

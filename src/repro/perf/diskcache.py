@@ -3,12 +3,14 @@
 The source paper's measurement is longitudinal: months of daily crawls
 over the same store/doorway population.  The reproduction's dominant cost
 on every cold process start is re-deriving byte-identical intermediate
-values — DOM parses, rendered views, shingle sets, feature bags, notice
-verdicts — that a previous run already built.  This module persists those
-values on disk under the *same* BLAKE2b content digests the in-process
-caches key on (:func:`repro.perf.cache.content_key`), so a warm run
-serves them from files instead of rebuilding, and correctness needs no
-invalidation protocol beyond the hash: changed HTML is a different key.
+values — rendered views, shingle sets, feature bags, notice verdicts —
+that a previous run already built.  This module persists those values on
+disk under the *same* BLAKE2b content digests the in-process caches key
+on (:func:`repro.perf.cache.content_key`), so a warm run serves them from
+files instead of rebuilding, and correctness needs no invalidation
+protocol beyond the hash: changed HTML is a different key.  Parsed DOMs
+are not persisted: every consumer of a DOM is itself a persistent cache,
+so a warm run that hits those never asks for the DOM.
 
 Layout of a cache directory::
 
@@ -18,19 +20,29 @@ Layout of a cache directory::
     <dir>/<cache>/<key-hex>.pkl  one entry per derived value
     <dir>/quarantine/            entries that failed validation
 
-Entry files embed a BLAKE2b digest of their pickled payload; a load that
-fails the digest (or fails to unpickle, or was written under a different
-schema or deriving-code version) **degrades to a miss** — the entry is
-moved to ``quarantine/`` and the value is rebuilt, never served wrong and
-never allowed to crash the run.  All writes go through
-:func:`repro.util.atomicio.atomic_write`, so concurrent writers (two runs
-sharing one directory) are idempotent: both write the same bytes to the
-same content address and the atomic rename makes either winner correct.
+Entry files embed a BLAKE2b digest of their pickled payload, taken over
+the entry's own cache and file name too; a load that fails the digest
+(or fails to unpickle, or was written under a different schema or
+deriving-code version) **degrades to a miss** — the entry is moved to
+``quarantine/`` and the value is rebuilt, never served wrong and never
+allowed to crash the run.  Entries are written through
+:func:`repro.util.atomicio.atomic_write` with ``durable=False``: a temp
+file renamed into place, so concurrent writers (two runs sharing one
+directory) are idempotent and never see each other's partial files, but
+not fsynced.  A power loss can leave an entry missing, empty, short or
+zero-filled, or holding the old blocks of another entry; each of those
+fails verification (the digest binds a payload to the name it was
+stored under) and reads as a miss, so the durability an fsync buys is
+worth nothing here.  The manifest keeps its fsync.
 
-The tier is size-capped: an in-memory index (rebuilt from a directory
-scan on open, persisted to the manifest periodically) drives
-oldest-first eviction once ``max_bytes`` is exceeded.  Losing an entry to
+The tier is size-capped: an in-memory index over the whole store
+(rebuilt from a directory scan on open, persisted to the manifest
+periodically) drives oldest-first eviction once ``max_bytes`` is
+exceeded, in one age order across every cache.  Losing an entry to
 eviction — or to a concurrent evictor — is always safe: a miss rebuilds.
+A cache directory the manifest names but this build no longer has (the
+DOM cache's, in a store an older build filled) is quarantined on open,
+like a cache whose deriving code changed.
 
 Counter semantics (``cache.<name>.disk_hit`` / ``.disk_miss`` /
 ``.promote`` / ``.write``) are owned by :mod:`repro.perf.cache`; this
@@ -52,12 +64,13 @@ from typing import Any, Dict, Hashable, Optional, Tuple
 from repro.util.atomicio import atomic_write
 
 #: Disk-entry layout version.  Bumping it invalidates every existing
-#: entry: stale-schema entries are quarantined on validate and read as
-#: misses before that.
-DISK_SCHEMA = 1
+#: entry: a store whose manifest records another version is quarantined
+#: whole on open, and a stray stale-schema entry reads as a miss.
+#: Version 2 keys the payload digest by the entry's name.
+DISK_SCHEMA = 2
 
-#: Default size cap — generous, because entries are small (a pickled DOM
-#: runs tens of KB) and losing one only costs a rebuild.
+#: Default size cap — generous, because entries are small (about a KB
+#: each) and losing one only costs a rebuild.
 DEFAULT_MAX_BYTES = 4 * 1024**3
 
 #: Flush the manifest's entry metadata every this many stores (the index
@@ -70,15 +83,16 @@ DISK_MISS = object()
 
 #: Modules whose source defines every cached DOM: the parser, the node
 #: classes, and the builder, whose trees the DOM cache adopts on a miss.
+#: The DOM cache itself is memory-only, but every persistent value is
+#: derived from its DOMs.
 _DOM_MODULES = ("repro.html.parser", "repro.html.nodes", "repro.html.builder")
 
 #: Caches whose values persist, with the modules whose source defines
 #: their derivation.  A change to any deriving module changes that
-#: cache's code digest and retires its entries (quarantined on validate,
+#: cache's code digest and retires its entries (quarantined on open,
 #: missed before that) — the disk tier must never serve a value an older
 #: build derived differently.
 PERSISTENT_CACHES: Dict[str, Tuple[str, ...]] = {
-    "dom": _DOM_MODULES,
     "render": _DOM_MODULES + ("repro.web.render",),
     "shingle": _DOM_MODULES + ("repro.crawler.dagger",),
     "features": _DOM_MODULES + ("repro.classify.features",),
@@ -102,6 +116,21 @@ def entry_filename(key: Hashable) -> str:
         digest.update(part if isinstance(part, bytes) else repr(part).encode("utf-8"))
         digest.update(b"\x1f")
     return digest.hexdigest()
+
+
+def _payload_digest(name: str, filename: str, payload: bytes) -> str:
+    """BLAKE2b digest of an entry's payload and of where it is stored, so
+    a file holding another entry's record fails verification."""
+    digest = blake2b(f"{name}/{filename}\x00".encode("utf-8"), digest_size=16)
+    digest.update(payload)
+    return digest.hexdigest()
+
+
+def _is_cache_name(name: object) -> bool:
+    """Whether a name read from a manifest is one plain directory of the
+    store that may hold entries: nothing a path could climb out through."""
+    return (isinstance(name, str) and os.path.basename(name) == name
+            and name not in ("", ".", "..", "quarantine"))
 
 
 def derivation_digests() -> Dict[str, str]:
@@ -137,9 +166,9 @@ class DiskCache:
         self.code_digests = dict(code_digests or derivation_digests())
         self.max_bytes = max_bytes
         self.quarantine_dir = os.path.join(self.path, "quarantine")
-        #: cache name -> filename -> size; ordered oldest-first, the
-        #: eviction order.  Rebuilt from a scan on open.
-        self._index: Dict[str, "OrderedDict[str, int]"] = {}
+        #: (cache name, filename) -> size over the whole store, ordered
+        #: oldest-first: the eviction order.  Rebuilt from a scan on open.
+        self._index: "OrderedDict[Tuple[str, str], int]" = OrderedDict()
         self._total_bytes = 0
         self._stores_since_flush = 0
         #: Lifetime totals carried in the manifest across processes.
@@ -159,25 +188,37 @@ class DiskCache:
         os.makedirs(self.path, exist_ok=True)
         manifest = self._read_manifest()
         if manifest is not None:
+            recorded = manifest.get("code_digests")
+            if not isinstance(recorded, dict):
+                recorded = {}
             if manifest.get("schema") != DISK_SCHEMA:
                 # A different layout version: retire everything at once.
-                self._quarantine_all("schema")
-                manifest = None
+                retired = set(recorded) | set(self.code_digests)
             else:
-                stale = [
-                    name for name, digest in self.code_digests.items()
-                    if manifest.get("code_digests", {}).get(name) not in (None, digest)
-                ]
-                for name in stale:
-                    self._quarantine_cache(name)
-                self._hits = {
-                    k: int(v) for k, v in manifest.get("hits", {}).items()
+                # Caches this build derives differently, and caches it no
+                # longer has (their entries would otherwise sit outside
+                # the index: never counted, evicted or cleared).
+                retired = {
+                    name for name, digest in recorded.items()
+                    if self.code_digests.get(name) != digest
                 }
-                self._misses = {
-                    k: int(v) for k, v in manifest.get("misses", {}).items()
-                }
+                self._hits = self._totals(manifest.get("hits"))
+                self._misses = self._totals(manifest.get("misses"))
+            # The manifest is only data: never follow a name it gives
+            # out of the store.
+            for name in sorted(filter(_is_cache_name, retired)):
+                self._quarantine_cache(name)
         self._scan()
         self._write_manifest()
+
+    def _totals(self, recorded: object) -> Dict[str, int]:
+        """A manifest's lifetime hit or miss counts, for current caches;
+        anything malformed is dropped rather than allowed to fail the
+        open."""
+        if not isinstance(recorded, dict):
+            return {}
+        return {name: count for name, count in recorded.items()
+                if name in self.code_digests and isinstance(count, int)}
 
     def _read_manifest(self) -> Optional[dict]:
         try:
@@ -187,16 +228,21 @@ class DiskCache:
             return None
         return manifest if isinstance(manifest, dict) else None
 
+    def _per_cache(self) -> Dict[str, Dict[str, int]]:
+        """Entry count and bytes of every cache, from the index."""
+        totals = {name: {"count": 0, "bytes": 0} for name in self.code_digests}
+        for (name, _filename), size in self._index.items():
+            tally = totals.setdefault(name, {"count": 0, "bytes": 0})
+            tally["count"] += 1
+            tally["bytes"] += size
+        return totals
+
     def _write_manifest(self) -> None:
-        entries = {
-            name: {"count": len(files), "bytes": sum(files.values())}
-            for name, files in sorted(self._index.items())
-        }
         manifest = {
             "schema": DISK_SCHEMA,
             "code_digests": dict(sorted(self.code_digests.items())),
             "max_bytes": self.max_bytes,
-            "entries": entries,
+            "entries": self._per_cache(),
             "total_bytes": self._total_bytes,
             "hits": dict(sorted(self._hits.items())),
             "misses": dict(sorted(self._misses.items())),
@@ -208,30 +254,28 @@ class DiskCache:
 
     def _scan(self) -> None:
         """Rebuild the entry index from the directory (the ground truth:
-        concurrent runs write entries this process's manifest never saw)."""
-        self._index = {}
-        self._total_bytes = 0
+        concurrent runs write entries this process's manifest never saw),
+        oldest first across every cache."""
+        stamped = []
         for name in sorted(self.code_digests):
             cache_dir = os.path.join(self.path, name)
-            files: "OrderedDict[str, int]" = OrderedDict()
             try:
                 listing = os.listdir(cache_dir)
             except OSError:
-                listing = []
-            stamped = []
+                continue
             for filename in listing:
                 if not filename.endswith(".pkl"):
                     continue
-                full = os.path.join(cache_dir, filename)
                 try:
-                    stat = os.stat(full)
+                    stat = os.stat(os.path.join(cache_dir, filename))
                 except OSError:
                     continue
-                stamped.append((stat.st_mtime, filename, stat.st_size))
-            for _mtime, filename, size in sorted(stamped):
-                files[filename] = size
-                self._total_bytes += size
-            self._index[name] = files
+                stamped.append((stat.st_mtime_ns, name, filename, stat.st_size))
+        stamped.sort()
+        self._index = OrderedDict(
+            ((name, filename), size) for _mtime, name, filename, size in stamped
+        )
+        self._total_bytes = sum(self._index.values())
 
     # ----------------------------------------------------------------- #
     # Entry IO
@@ -255,7 +299,7 @@ class DiskCache:
         except OSError:
             self._misses[name] = self._misses.get(name, 0) + 1
             return DISK_MISS
-        value = self._decode(name, blob)
+        value = self._decode(name, filename, blob)
         if value is DISK_MISS:
             self._quarantine_entry(name, filename)
             self._misses[name] = self._misses.get(name, 0) + 1
@@ -263,7 +307,7 @@ class DiskCache:
         self._hits[name] = self._hits.get(name, 0) + 1
         return value
 
-    def _decode(self, name: str, blob: bytes) -> Any:
+    def _decode(self, name: str, filename: str, blob: bytes) -> Any:
         try:
             record = pickle.loads(blob)
         except Exception:
@@ -277,8 +321,7 @@ class DiskCache:
         payload = record.get("payload")
         if not isinstance(payload, bytes):
             return DISK_MISS
-        digest = blake2b(payload, digest_size=16).hexdigest()
-        if digest != record.get("payload_digest"):
+        if _payload_digest(name, filename, payload) != record.get("payload_digest"):
             return DISK_MISS
         try:
             return pickle.loads(zlib.decompress(payload))
@@ -295,24 +338,25 @@ class DiskCache:
             )
         except Exception:
             return False
+        filename = entry_filename(key) + ".pkl"
         record = {
             "schema": DISK_SCHEMA,
             "code_digest": self.code_digests.get(name),
-            "payload_digest": blake2b(payload, digest_size=16).hexdigest(),
+            "payload_digest": _payload_digest(name, filename, payload),
             "payload": payload,
         }
         blob = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-        filename = entry_filename(key) + ".pkl"
         cache_dir = os.path.join(self.path, name)
         os.makedirs(cache_dir, exist_ok=True)
         try:
-            with atomic_write(os.path.join(cache_dir, filename), "wb") as handle:
+            with atomic_write(os.path.join(cache_dir, filename), "wb",
+                              durable=False) as handle:
                 handle.write(blob)
         except OSError:
             return False
-        files = self._index.setdefault(name, OrderedDict())
-        previous = files.pop(filename, 0)
-        files[filename] = len(blob)
+        entry = (name, filename)
+        previous = self._index.pop(entry, 0)
+        self._index[entry] = len(blob)
         self._total_bytes += len(blob) - previous
         if self._total_bytes > self.max_bytes:
             self._evict_to(int(self.max_bytes * 0.9))
@@ -322,21 +366,17 @@ class DiskCache:
         return True
 
     def _evict_to(self, target_bytes: int) -> int:
-        """Drop oldest entries (index order) until under ``target_bytes``."""
+        """Drop the oldest entries of the whole store until under
+        ``target_bytes``."""
         evicted = 0
-        for name in sorted(self._index):
-            files = self._index[name]
-            while files and self._total_bytes > target_bytes:
-                filename, size = next(iter(files.items()))
-                del files[filename]
-                self._total_bytes -= size
-                try:
-                    os.unlink(self._entry_path(name, filename))
-                except OSError:
-                    pass
-                evicted += 1
-            if self._total_bytes <= target_bytes:
-                break
+        while self._index and self._total_bytes > target_bytes:
+            (name, filename), size = self._index.popitem(last=False)
+            self._total_bytes -= size
+            try:
+                os.unlink(self._entry_path(name, filename))
+            except OSError:
+                pass
+            evicted += 1
         return evicted
 
     # ----------------------------------------------------------------- #
@@ -354,10 +394,7 @@ class DiskCache:
                 os.unlink(source)
             except OSError:
                 pass
-        files = self._index.get(name)
-        if files is not None:
-            size = files.pop(filename, 0)
-            self._total_bytes -= size
+        self._total_bytes -= self._index.pop((name, filename), 0)
         self.quarantined += 1
 
     def _quarantine_cache(self, name: str) -> None:
@@ -369,10 +406,10 @@ class DiskCache:
         for filename in listing:
             if filename.endswith(".pkl"):
                 self._quarantine_entry(name, filename)
-
-    def _quarantine_all(self, _reason: str) -> None:
-        for name in sorted(self.code_digests):
-            self._quarantine_cache(name)
+        try:
+            os.rmdir(cache_dir)
+        except OSError:
+            pass
 
     # ----------------------------------------------------------------- #
     # Inspection / maintenance (the ``repro cache`` subcommand)
@@ -380,13 +417,13 @@ class DiskCache:
 
     def stats(self) -> dict:
         per_cache = {}
+        tallies = self._per_cache()
         for name in sorted(self.code_digests):
-            files = self._index.get(name, {})
             hits = self._hits.get(name, 0)
             misses = self._misses.get(name, 0)
             per_cache[name] = {
-                "entries": len(files),
-                "bytes": sum(files.values()),
+                "entries": tallies[name]["count"],
+                "bytes": tallies[name]["bytes"],
                 "hits": hits,
                 "misses": misses,
                 "hit_rate": hits / (hits + misses) if hits + misses else None,
@@ -399,7 +436,7 @@ class DiskCache:
             "utilization": (
                 self._total_bytes / self.max_bytes if self.max_bytes else 0.0
             ),
-            "entries": sum(len(files) for files in self._index.values()),
+            "entries": len(self._index),
             "quarantined": self.quarantined,
             "caches": per_cache,
         }
@@ -408,20 +445,19 @@ class DiskCache:
         """Check every entry's digest; quarantine failures.  Returns
         ``{"checked": n, "ok": n, "quarantined": n}``."""
         checked = ok = bad = 0
-        for name in sorted(self.code_digests):
-            for filename in list(self._index.get(name, ())):
-                checked += 1
-                path = self._entry_path(name, filename)
-                try:
-                    with open(path, "rb") as handle:
-                        blob = handle.read()
-                except OSError:
-                    blob = b""
-                if self._decode(name, blob) is DISK_MISS:
-                    self._quarantine_entry(name, filename)
-                    bad += 1
-                else:
-                    ok += 1
+        for name, filename in sorted(self._index):
+            checked += 1
+            path = self._entry_path(name, filename)
+            try:
+                with open(path, "rb") as handle:
+                    blob = handle.read()
+            except OSError:
+                blob = b""
+            if self._decode(name, filename, blob) is DISK_MISS:
+                self._quarantine_entry(name, filename)
+                bad += 1
+            else:
+                ok += 1
         self._write_manifest()
         return {"checked": checked, "ok": ok, "quarantined": bad}
 
@@ -433,13 +469,13 @@ class DiskCache:
         """Remove every entry, the quarantine, and reset the manifest.
         Returns the number of entry files removed."""
         removed = 0
-        for name in sorted(self._index):
-            for filename in list(self._index[name]):
-                try:
-                    os.unlink(self._entry_path(name, filename))
-                except OSError:
-                    pass
-                removed += 1
+        for name, filename in self._index:
+            try:
+                os.unlink(self._entry_path(name, filename))
+            except OSError:
+                pass
+            removed += 1
+        for name in sorted(self.code_digests):
             try:
                 os.rmdir(os.path.join(self.path, name))
             except OSError:
@@ -453,7 +489,7 @@ class DiskCache:
             os.rmdir(self.quarantine_dir)
         except OSError:
             pass
-        self._index = {}
+        self._index = OrderedDict()
         self._total_bytes = 0
         self._hits = {}
         self._misses = {}
@@ -462,6 +498,5 @@ class DiskCache:
         return removed
 
     def __repr__(self) -> str:
-        return (f"DiskCache({self.path!r}, "
-                f"{sum(len(f) for f in self._index.values())} entries, "
+        return (f"DiskCache({self.path!r}, {len(self._index)} entries, "
                 f"{self._total_bytes} bytes)")

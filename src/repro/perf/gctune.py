@@ -13,12 +13,17 @@ young garbage is still collected (in much cheaper, larger batches) while
 full passes effectively stop.  That defers *cyclic* garbage only —
 acyclic objects, including every evicted cache entry (DOM trees hold no
 parent pointers), are reclaimed immediately by refcounting regardless.
-On exit the previous thresholds are restored and one full collection
-sweeps whatever cycles the scope deferred, so nothing leaks past it.
+On exit the previous thresholds are restored and nothing more: the
+cycles the scope deferred go to the collector's next ordinary pass.  A
+full collection there would walk every tracked object (~200k at the end
+of a benchmark-scale study) to free a handful of cycles while the
+study's results still hold its world.
 
 The tune is applied by ``StudyRun.execute`` and ``run_ablation`` — the
 two entry points that run a full simulation — and helps cached and
-uncached runs alike, so the benchmark A/B stays fair.
+uncached runs alike, so the benchmark A/B stays fair.  ``run_ablation``
+does collect once after its scope: it has dropped its world by then,
+and the next variant's scope would defer freeing it again.
 """
 
 from __future__ import annotations
@@ -35,8 +40,9 @@ LOW_PAUSE_THRESHOLDS: Tuple[int, int, int] = (50_000, 25, 20)
 
 @contextmanager
 def low_pause_gc() -> Iterator[None]:
-    """Run a block under :data:`LOW_PAUSE_THRESHOLDS`, then restore and
-    collect once.  Re-entrant: an inner scope defers to the outer one."""
+    """Run a block under :data:`LOW_PAUSE_THRESHOLDS`, then restore the
+    previous thresholds.  Re-entrant: an inner scope defers to the outer
+    one."""
     previous = gc.get_threshold()
     if previous == LOW_PAUSE_THRESHOLDS:
         yield  # already inside a low-pause scope; nothing to restore
@@ -46,4 +52,3 @@ def low_pause_gc() -> Iterator[None]:
         yield
     finally:
         gc.set_threshold(*previous)
-        gc.collect()

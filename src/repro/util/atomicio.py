@@ -14,6 +14,14 @@ no file — never a torn artifact.
 On any exception inside the block the temporary file is removed and the
 destination is left untouched.
 
+The fsync is what makes the rename durable across a power loss, not just
+a process kill: without it the kernel may commit the rename before the
+data, and the file can come back empty, short or zero-filled.  Only a
+writer whose readers verify every file they load may give that up:
+the disk cache's entries carry their own payload digest and read as
+misses when damaged, so :meth:`repro.perf.diskcache.DiskCache.store`
+passes ``durable=False``.  Everything else keeps the default.
+
 Append-only files (the run ledger) use :func:`append_line` instead: one
 ``os.write`` of the whole newline-terminated record onto an ``O_APPEND``
 descriptor.  A crash mid-write leaves at most one torn final line, which
@@ -30,11 +38,13 @@ from typing import IO, Iterator
 
 
 @contextmanager
-def atomic_write(path: str, mode: str = "w", encoding: str = "utf-8") -> Iterator[IO]:
+def atomic_write(path: str, mode: str = "w", encoding: str = "utf-8", *,
+                 durable: bool = True) -> Iterator[IO]:
     """Open a temp file next to ``path``; atomically rename on success.
 
     ``mode`` must be a write mode (``"w"`` or ``"wb"``); text mode uses
-    ``encoding`` (binary mode ignores it).
+    ``encoding`` (binary mode ignores it).  ``durable=False`` skips the
+    fsync before the rename (see the module docstring for who may).
     """
     if "w" not in mode:
         raise ValueError(f"atomic_write needs a write mode, got {mode!r}")
@@ -47,7 +57,8 @@ def atomic_write(path: str, mode: str = "w", encoding: str = "utf-8") -> Iterato
     try:
         yield handle
         handle.flush()
-        os.fsync(handle.fileno())
+        if durable:
+            os.fsync(handle.fileno())
         handle.close()
         os.replace(tmp_path, path)
     except BaseException:

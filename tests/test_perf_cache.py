@@ -2,8 +2,8 @@
 
 Two kinds of guarantee live here.  Mechanics: LRU bounds, hit/miss/evict
 accounting in the PERF registry (every lookup counted, over a whole
-study too), content addressing, StaticPage generator memoization, and
-SERP re-serves that track every mutation channel.
+study too), content addressing, StaticPage generator memoization, SERP
+re-serves that track every mutation channel, and the scoped GC tune.
 Equivalence: a cached study run is *byte-identical* to a cache-disabled
 one, and multiprocess ablations return the same outcomes in the same
 order for any job count — caching and parallelism change wall-clock,
@@ -12,15 +12,21 @@ never results.
 
 from __future__ import annotations
 
+import gc
 import os
 from collections import Counter
 
 import pytest
 
-from repro.analysis.ablations import VARIANT_ORDER, run_intervention_ablations
+from repro.analysis.ablations import (
+    VARIANT_ORDER,
+    run_ablation,
+    run_intervention_ablations,
+)
 from repro.crawler import CrawlPolicy
 from repro.crawler.dagger import text_shingle
 from repro.ecosystem import small_preset
+from repro.market.stores import Store
 from repro.perf.cache import (
     LRUCache,
     caches_disabled,
@@ -31,6 +37,7 @@ from repro.perf.cache import (
     reset_caches,
     set_caches_enabled,
 )
+from repro.perf.gctune import LOW_PAUSE_THRESHOLDS, low_pause_gc
 from repro.search import ResultLabel, SearchEngine, SearchIndex
 from repro.study import StudyRun
 from repro.util.perf import PERF
@@ -103,6 +110,58 @@ class TestLRUCache:
             assert cache.memo_html("<p>x</p>", lambda h: len(h)) == 8
             assert len(cache) == 0
         assert caches_enabled()
+
+
+class TestLowPauseGC:
+    def test_scope_restores_thresholds_without_collecting(self):
+        """Leaving the scope restores the thresholds and runs no
+        collection: the cycles it deferred wait for the next ordinary
+        pass.  Automatic collection is off here, so any pass seen was
+        started by the scope itself."""
+        passes = []
+
+        def on_gc(phase, info):
+            if phase == "start":
+                passes.append(info["generation"])
+
+        previous = gc.get_threshold()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        gc.callbacks.append(on_gc)
+        try:
+            with low_pause_gc():
+                assert gc.get_threshold() == LOW_PAUSE_THRESHOLDS
+                with low_pause_gc():
+                    assert gc.get_threshold() == LOW_PAUSE_THRESHOLDS
+                assert gc.get_threshold() == LOW_PAUSE_THRESHOLDS
+            assert gc.get_threshold() == previous
+        finally:
+            gc.callbacks.remove(on_gc)
+            if was_enabled:
+                gc.enable()
+        assert passes == []
+
+    def test_ablation_frees_its_world(self):
+        """A variant's stores sit in reference cycles (each store's page
+        factory is bound to its campaign), so only a full pass frees them;
+        ``run_ablation`` runs one itself rather than leave every variant
+        of an ablation sweep resident.  Automatic collection is off here,
+        so nothing else could free them."""
+        gc.collect()
+        before = _live_stores()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run_ablation("baseline", _ablation_factory(), crawl_stride=4)
+            after = _live_stores()
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert after == before
+
+
+def _live_stores() -> int:
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, Store))
 
 
 class TestSharedWrappers:

@@ -6,7 +6,13 @@ Pins the ISSUE-8 contract:
   — cold or warm — and the warm run actually reads from disk
   (``disk_hit`` counters increment);
 * corrupted / truncated / stale-schema disk entries degrade to misses
-  and are quarantined, never served;
+  and are quarantined, never served — including every state an unsynced
+  entry can come back in after a power loss (empty, zero-filled, cut
+  short, holding another entry's record), which is why entries are the
+  one write that skips ``fsync``;
+* eviction is oldest-first across the whole store, and a cache
+  directory the store no longer has is quarantined on open (never a
+  path outside the store, whatever its manifest says);
 * the delta checkpointer writes a fraction of the whole-pickle bytes at
   ``--checkpoint-every 1`` while kill + resume stays byte-identical,
   including resuming over a warm disk cache, and compaction bounds the
@@ -26,6 +32,7 @@ import tempfile
 import types
 import unittest
 from pathlib import Path
+from unittest import mock
 
 from repro.cli import main as cli_main
 from repro.ecosystem import small_preset
@@ -47,6 +54,7 @@ from repro.perf.diskcache import (
     entry_filename,
 )
 from repro.study import StudyRun
+from repro.util.atomicio import atomic_write
 from repro.util.perf import PERF
 from repro.util.simtime import SimDate
 
@@ -108,19 +116,35 @@ class TestDiskCacheUnit(DiskTierBase):
             self.assertEqual(again.load("dom", key), {"value": [1, 2, 3]})
 
     def test_corrupted_entry_degrades_to_miss_and_quarantines(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            disk = self._cache(tmp)
-            key = b"\x02" * 16
-            disk.store("dom", key, "payload")
-            entry = os.path.join(disk.path, "dom",
-                                 entry_filename(key) + ".pkl")
-            Path(entry).write_bytes(b"\x80garbage-not-a-record")
-            self.assertIs(disk.load("dom", key), DISK_MISS)
-            self.assertFalse(os.path.exists(entry))
-            self.assertEqual(disk.quarantined, 1)
-            # The store still works after quarantining.
-            self.assertTrue(disk.store("dom", key, "payload"))
-            self.assertEqual(disk.load("dom", key), "payload")
+        """Garbage, and the states an entry renamed into place without
+        fsync can come back in after a power loss: empty, zero-filled to
+        its full size, or holding the blocks of another entry (a valid
+        record, but stored under another name)."""
+        damages = {
+            "garbage": lambda blob, other: b"\x80garbage-not-a-record",
+            "empty": lambda blob, other: b"",
+            "zero-filled": lambda blob, other: bytes(len(blob)),
+            "another entry": lambda blob, other: other,
+        }
+        for how, damage in damages.items():
+            with self.subTest(how), tempfile.TemporaryDirectory() as tmp:
+                disk = self._cache(tmp)
+                key, other_key = b"\x02" * 16, b"\x12" * 16
+                disk.store("dom", key, "payload")
+                disk.store("dom", other_key, "other payload")
+                entry = os.path.join(disk.path, "dom",
+                                     entry_filename(key) + ".pkl")
+                other = os.path.join(disk.path, "dom",
+                                     entry_filename(other_key) + ".pkl")
+                Path(entry).write_bytes(damage(Path(entry).read_bytes(),
+                                               Path(other).read_bytes()))
+                self.assertIs(disk.load("dom", key), DISK_MISS)
+                self.assertFalse(os.path.exists(entry))
+                self.assertEqual(disk.quarantined, 1)
+                # The store still works after quarantining.
+                self.assertTrue(disk.store("dom", key, "payload"))
+                self.assertEqual(disk.load("dom", key), "payload")
+                self.assertEqual(disk.load("dom", other_key), "other payload")
 
     def test_truncated_entry_degrades_to_miss(self):
         with tempfile.TemporaryDirectory() as tmp:
@@ -163,21 +187,133 @@ class TestDiskCacheUnit(DiskTierBase):
             self.assertLessEqual(disk.stats()["total_bytes"], 4096)
             self.assertLess(disk.stats()["entries"], 64)
 
+    def test_eviction_is_oldest_first_across_caches(self):
+        """A cache's name must not decide what the cap drops: the entries
+        left are always the newest of the whole store, the one just
+        stored among them."""
+        rng = random.Random(0)
+        with tempfile.TemporaryDirectory() as tmp:
+            disk = self._cache(tmp, code_digests={"alpha": "a", "zeta": "z"},
+                               max_bytes=8000)
+            stored = []
+            for name in ("zeta", "alpha"):
+                for i in range(6):
+                    key = i.to_bytes(16, "big")
+                    self.assertTrue(disk.store(name, key, rng.randbytes(1000)))
+                    stored.append((name, key))
+            kept = [(name, key) for name, key in stored
+                    if disk.load(name, key) is not DISK_MISS]
+            self.assertLessEqual(disk.stats()["total_bytes"], 8000)
+            self.assertIn(("alpha", (5).to_bytes(16, "big")), kept)
+            self.assertEqual(kept, stored[len(stored) - len(kept):])
+            self.assertGreater(disk.stats()["caches"]["alpha"]["entries"], 0)
+
+    def test_retired_cache_directory_is_quarantined_and_cleared(self):
+        """Entries of a cache this build no longer has (a DOM store filled
+        by an older build) leave the index on open, so they are neither
+        counted nor left behind by ``clear``."""
+        with tempfile.TemporaryDirectory() as tmp:
+            old = self._cache(tmp, code_digests={"dom": "d", "render": "r"})
+            for i in range(3):
+                old.store("dom", i.to_bytes(16, "big"), "x" * 500)
+                old.store("render", i.to_bytes(16, "big"), i)
+            render_bytes = old.stats()["caches"]["render"]["bytes"]
+            old.flush()
+            disk = self._cache(tmp, code_digests={"render": "r"})
+            stats = disk.stats()
+            self.assertEqual(stats["total_bytes"], render_bytes)
+            self.assertEqual(stats["entries"], 3)
+            self.assertEqual(disk.quarantined, 3)
+            self.assertEqual(list(Path(disk.path, "dom").glob("*.pkl")), [])
+            disk.clear()
+            self.assertEqual(list(Path(disk.path).rglob("*.pkl")), [])
+
     def test_validate_and_clear(self):
         with tempfile.TemporaryDirectory() as tmp:
             disk = self._cache(tmp)
-            for i in range(5):
+            for i in range(6):
                 disk.store("dom", i.to_bytes(16, "big"), i)
-            entry = os.path.join(disk.path, "dom",
-                                 entry_filename(b"\x00" * 15 + b"\x03") + ".pkl")
-            Path(entry).write_bytes(b"torn")
+
+            def entry(i):
+                return Path(disk.path, "dom",
+                            entry_filename(i.to_bytes(16, "big")) + ".pkl")
+
+            entry(3).write_bytes(b"torn")
+            # What an unsynced entry can hold after a power loss.
+            entry(1).write_bytes(b"")
+            entry(2).write_bytes(bytes(entry(2).stat().st_size))
+            entry(4).write_bytes(entry(4).read_bytes()[:20])
             outcome = disk.validate()
-            self.assertEqual(outcome["checked"], 5)
-            self.assertEqual(outcome["ok"], 4)
-            self.assertEqual(outcome["quarantined"], 1)
+            self.assertEqual(outcome["checked"], 6)
+            self.assertEqual(outcome["ok"], 2)
+            self.assertEqual(outcome["quarantined"], 4)
             removed = disk.clear()
-            self.assertEqual(removed, 4)
+            self.assertEqual(removed, 2)
             self.assertEqual(disk.stats()["entries"], 0)
+
+    def test_only_cache_entries_skip_fsync(self):
+        """``DiskCache.store`` makes no fsync; the store's manifest, a
+        default ``atomic_write`` and every file of a checkpoint save
+        still make one each."""
+        with tempfile.TemporaryDirectory() as tmp:
+            disk = self._cache(tmp)
+            with mock.patch("os.fsync", wraps=os.fsync) as fsync:
+                for i in range(3):
+                    self.assertTrue(disk.store("dom", bytes([i]) * 16, i))
+                self.assertEqual(fsync.call_count, 0)
+                disk.flush()
+                self.assertEqual(fsync.call_count, 1)
+                with atomic_write(os.path.join(tmp, "artifact.txt")) as handle:
+                    handle.write("artifact\n")
+                self.assertEqual(fsync.call_count, 2)
+
+                fsync.reset_mock()
+                checkpointer = Checkpointer(os.path.join(tmp, "run.ckpt"),
+                                            small_preset(days=DAYS))
+                simulator = types.SimpleNamespace(
+                    world=types.SimpleNamespace(today=None),
+                    _traffic_rng=random.Random(0),
+                )
+                checkpointer.save(simulator, [], 0, SimDate("2013-11-13"))
+                # Every chunk, the day manifest and HEAD.
+                self.assertGreater(checkpointer.chunks_written, 0)
+                self.assertEqual(fsync.call_count, checkpointer.chunks_written + 2)
+
+    def test_manifest_names_never_leave_the_store(self):
+        """The caches retired on open are named by ``manifest.json``,
+        which is only data: a name that climbs out of the store, or a
+        ``code_digests`` that is no mapping, moves no file outside it,
+        and malformed lifetime totals do not fail the open."""
+        for schema_bumped in (False, True):
+            for recorded in ({"..": "x", ".": "x", "": "x", "quarantine": "x"},
+                             "absolute", ["dom"], "dom"):
+                with self.subTest(recorded=recorded, schema_bumped=schema_bumped), \
+                        tempfile.TemporaryDirectory() as tmp:
+                    beside = Path(tmp, "beside.pkl")
+                    beside.write_bytes(b"not the store's")
+                    elsewhere = Path(tmp, "elsewhere")
+                    elsewhere.mkdir()
+                    Path(elsewhere, "other.pkl").write_bytes(b"not the store's")
+                    if recorded == "absolute":
+                        recorded = {str(elsewhere): "x"}
+                    disk = self._cache(tmp)
+                    disk.store("dom", b"\x07" * 16, "kept")
+                    disk.flush()
+                    manifest_path = Path(disk.path, "manifest.json")
+                    manifest = json.loads(manifest_path.read_text())
+                    manifest["code_digests"] = recorded
+                    manifest["hits"] = manifest["misses"] = recorded
+                    if schema_bumped:
+                        manifest["schema"] = 999
+                    manifest_path.write_text(json.dumps(manifest))
+                    reopened = self._cache(tmp)
+                    self.assertEqual(beside.read_bytes(), b"not the store's")
+                    self.assertEqual(Path(elsewhere, "other.pkl").read_bytes(),
+                                     b"not the store's")
+                    self.assertEqual(reopened.quarantined, int(schema_bumped))
+                    if not schema_bumped:
+                        self.assertEqual(reopened.load("dom", b"\x07" * 16), "kept")
+                        self.assertEqual(reopened.stats()["caches"]["dom"]["hits"], 1)
 
     def test_entry_filename_stable_across_key_shapes(self):
         self.assertEqual(entry_filename(b"\xab\xcd"), "abcd")
@@ -189,13 +325,13 @@ class TestDiskCacheUnit(DiskTierBase):
 
 class TestDerivationDigests(unittest.TestCase):
     def test_builder_change_retires_every_dom_derived_cache(self):
-        """The DOM cache adopts PageBuilder trees on a miss, and every
-        persistent cache derives from cached DOMs, so an edit to the
-        builder must retire the entries of all five."""
+        """Every persistent cache derives from cached DOMs, and the DOM
+        cache adopts PageBuilder trees on a miss, so an edit to the
+        builder must retire the entries of all four."""
         import repro.html.builder as builder
 
         self.assertEqual(set(PERSISTENT_CACHES),
-                         {"dom", "render", "shingle", "features", "notice"})
+                         {"render", "shingle", "features", "notice"})
         for name, modules in PERSISTENT_CACHES.items():
             self.assertIn("repro.html.builder", modules, name)
         before = derivation_digests()
@@ -449,19 +585,19 @@ class TestCacheCli(DiskTierBase):
             path = os.path.join(tmp, "dcache")
             disk = DiskCache(path)
             for i in range(3):
-                disk.store("dom", i.to_bytes(16, "big"), i)
+                disk.store("render", i.to_bytes(16, "big"), i)
             disk.flush()
 
             code, out = self._run_cli("cache", "--dir", path)
             self.assertEqual(code, 0)
-            self.assertIn("dom", out)
+            self.assertIn("render", out)
             self.assertIn("3 entries", out)
 
             code, out = self._run_cli("cache", "--dir", path, "--json")
             self.assertEqual(code, 0)
             self.assertEqual(json.loads(out)["entries"], 3)
 
-            entry = os.path.join(path, "dom",
+            entry = os.path.join(path, "render",
                                  entry_filename(b"\x00" * 16) + ".pkl")
             Path(entry).write_bytes(b"torn")
             code, out = self._run_cli("cache", "--dir", path, "--validate")
