@@ -18,8 +18,17 @@ Quickstart::
     print(len(results.dataset), "poisoned search results")
 """
 
-from repro.study import StudyRun, StudyResults
-
 __version__ = "1.0.0"
 
 __all__ = ["StudyRun", "StudyResults", "__version__"]
+
+
+def __getattr__(name):
+    # Resolved on first use (PEP 562): the study stack imports numpy,
+    # scipy and networkx, which ``repro.lint`` and most CLI commands
+    # never need.
+    if name in ("StudyRun", "StudyResults"):
+        from repro import study
+
+        return getattr(study, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

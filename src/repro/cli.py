@@ -45,21 +45,11 @@ from dataclasses import asdict
 from time import perf_counter
 from typing import List, Optional
 
-from repro.study import StudyRun
-from repro.crawler import CrawlPolicy
-from repro.ecosystem import paper_preset, small_preset
+# The study stack (repro.study, .ecosystem, .crawler, .analysis) imports
+# numpy, scipy and networkx; the commands that run a study import it
+# themselves, so ``lint``, ``gate`` and the other ledger commands start
+# without it.
 from repro.faults import PROFILES, SimulatedCrash, profile_named
-from repro.analysis import (
-    DailyAggregates,
-    campaign_table,
-    label_coverage,
-    rotation_reactions,
-    run_intervention_ablations,
-    seizure_table,
-    sparkline_extremes,
-    supplier_summary,
-    vertical_table,
-)
 from repro.lint import (
     format_json,
     format_text,
@@ -300,6 +290,8 @@ def _apply_disk_args(args) -> None:
 
 
 def _config_for(args):
+    from repro.ecosystem import paper_preset, small_preset
+
     if args.preset == "paper":
         kwargs = {"scale": args.scale, "terms_per_vertical": args.terms}
         if args.seed is not None:
@@ -311,6 +303,9 @@ def _config_for(args):
 
 
 def command_run(args) -> int:
+    from repro.crawler import CrawlPolicy
+    from repro.study import StudyRun
+
     if args.no_cache:
         set_caches_enabled(False)
     _apply_disk_args(args)
@@ -396,6 +391,17 @@ def command_run(args) -> int:
 
 def _analysis_artifacts(args, results) -> dict:
     """Tables, figure, and summary for one completed study run."""
+    from repro.analysis import (
+        DailyAggregates,
+        campaign_table,
+        label_coverage,
+        rotation_reactions,
+        seizure_table,
+        sparkline_extremes,
+        supplier_summary,
+        vertical_table,
+    )
+
     dataset = results.dataset
     aggregates = DailyAggregates(dataset)
 
@@ -463,6 +469,9 @@ def _analysis_artifacts(args, results) -> dict:
 
 
 def command_ablations(args) -> int:
+    from repro.analysis import run_intervention_ablations
+    from repro.ecosystem import small_preset
+
     if args.no_cache:
         set_caches_enabled(False)
     print(f"Running intervention ablations over a {args.days}-day window "
@@ -491,6 +500,9 @@ def command_ablations(args) -> int:
 
 
 def command_perf(args) -> int:
+    from repro.crawler import CrawlPolicy
+    from repro.study import StudyRun
+
     if args.no_cache:
         set_caches_enabled(False)
     _apply_disk_args(args)
@@ -509,6 +521,9 @@ def command_perf(args) -> int:
 
 
 def command_trace(args) -> int:
+    from repro.crawler import CrawlPolicy
+    from repro.study import StudyRun
+
     if args.no_cache:
         set_caches_enabled(False)
     _apply_disk_args(args)
@@ -556,8 +571,10 @@ def command_chaos(args) -> int:
     machinery the release gate uses (:func:`repro.obs.gate.check_bands`),
     the clean run acting as the baseline.  Exit 1 on any violation.
     """
+    from repro.crawler import CrawlPolicy
     from repro.obs.gate import Band, check_bands
     from repro.obs.ledger import flatten
+    from repro.study import StudyRun
 
     if args.no_cache:
         set_caches_enabled(False)

@@ -15,8 +15,9 @@ testable input:
   from the sim RNG, a per-day retry budget, and a per-host circuit
   breaker (lint rule D009 enforces this discipline tree-wide);
 * :mod:`repro.faults.checkpoint` — per-sim-day crash-safe checkpoints of
-  the whole study state with ``repro run --resume`` continuation that is
-  byte-identical to an uninterrupted run.
+  the whole study state, one file rewritten atomically per save, with
+  ``repro run --resume`` continuation that is byte-identical to an
+  uninterrupted run.
 """
 
 from repro.faults.checkpoint import (

@@ -193,7 +193,7 @@ class StudyRun:
             # one place that fans work out over processes.
             raise ValueError(f"a study runs in one process: jobs must be 1, not {jobs!r}")
         #: Set by :meth:`execute` when checkpointing was on:
-        #: ``Checkpointer.stats()`` (delta-store byte accounting).
+        #: ``Checkpointer.stats()`` (saves and bytes written).
         self.checkpoint_stats: Optional[dict] = None
         #: Chaos knobs: a fault profile makes the measurement crawl run
         #: against injected failures (ground truth is never perturbed).
@@ -294,7 +294,7 @@ class StudyRun:
             and self.checkpoint_path is not None
             and os.path.exists(self.checkpoint_path)
         ):
-            simulator, observers, start_index, _manifest = load_checkpoint(
+            simulator, observers, start_index = load_checkpoint(
                 self.checkpoint_path, self.config
             )
             self.resumed_from_day = start_index

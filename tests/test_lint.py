@@ -274,5 +274,48 @@ class TestCommandLine(unittest.TestCase):
         self.assertEqual(payload["summary"]["findings"], 22)
 
 
+def imported_modules(*argv):
+    """Run ``python -X importtime *argv``; return it and the modules it
+    imported."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        cwd=REPO_ROOT, env=env, capture_output=True, text=True,
+    )
+    names = {line.rsplit("|", 1)[-1].strip()
+             for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    return proc, names
+
+
+class TestStartup(unittest.TestCase):
+    """The analyzer needs only ``ast``: neither importing it nor the
+    ``lint`` command may load the study stack's numpy."""
+
+    def test_import_skips_numpy(self):
+        proc, names = imported_modules("-c", "import repro.lint")
+        self.assertEqual(proc.returncode, 0, proc.stderr[-2000:])
+        self.assertIn("repro.lint", names)
+        self.assertNotIn("numpy", names)
+
+    def test_cli_skips_numpy(self):
+        proc, names = imported_modules("-m", "repro", "lint", "--list-rules")
+        self.assertEqual(proc.returncode, 0, proc.stderr[-2000:])
+        self.assertIn("repro.cli", names)
+        self.assertNotIn("numpy", names)
+
+    def test_package_still_exports_the_study_runner(self):
+        import repro
+        from repro import StudyResults, StudyRun
+        from repro.study import StudyResults as results_class
+        from repro.study import StudyRun as run_class
+
+        self.assertIs(StudyRun, run_class)
+        self.assertIs(StudyResults, results_class)
+        with self.assertRaises(AttributeError):
+            repro.NoSuchName
+
+
 if __name__ == "__main__":
     unittest.main()

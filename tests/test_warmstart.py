@@ -1,4 +1,4 @@
-"""Tests for the persistent disk cache tier and delta checkpoints.
+"""Tests for the persistent disk cache tier and one-file checkpoints.
 
 Pins the ISSUE-8 contract:
 
@@ -13,15 +13,18 @@ Pins the ISSUE-8 contract:
 * eviction is oldest-first across the whole store, and a cache
   directory the store no longer has is quarantined on open (never a
   path outside the store, whatever its manifest says);
-* the delta checkpointer writes a fraction of the whole-pickle bytes at
-  ``--checkpoint-every 1`` while kill + resume stays byte-identical,
-  including resuming over a warm disk cache, and compaction bounds the
-  store; a checkpoint of another schema, or one naming classes this code
-  no longer has, is refused with :class:`CheckpointError`;
+* the checkpointer keeps one file, written with one fsync per save, and
+  kill + resume stays byte-identical at ``--checkpoint-every 1``,
+  including resuming over a warm disk cache; a save that fails midway
+  leaves the previous one loadable and no temp file; a damaged file, a
+  checkpoint of another schema, one naming classes this code no longer
+  has, or one whose state does not round-trip is refused with
+  :class:`CheckpointError` before anything unpickles a damaged payload;
 * the ``repro cache`` CLI reports, validates, and clears the store.
 """
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -38,10 +41,10 @@ from repro.cli import main as cli_main
 from repro.ecosystem import small_preset
 from repro.faults import SimulatedCrash
 from repro.faults.checkpoint import (
+    CHECKPOINT_FILE,
     CHECKPOINT_SCHEMA,
     Checkpointer,
     CheckpointError,
-    chunk_spans,
     load_checkpoint,
 )
 from repro.faults.profiles import PROFILES
@@ -85,6 +88,38 @@ def _serp_fingerprint(results):
 
 def _study(**kwargs):
     return StudyRun(small_preset(days=DAYS), classify=False, **kwargs)
+
+
+def _bare_simulator(**extra):
+    """The least a checkpoint save reads off a simulator."""
+    return types.SimpleNamespace(
+        world=types.SimpleNamespace(today=None),
+        _traffic_rng=random.Random(0),
+        **extra,
+    )
+
+
+class _FragileObserver:
+    """Pickles until ``broken`` is set, then fails like an observer
+    holding state that cannot be pickled."""
+
+    broken = False
+
+    def __getstate__(self):
+        if self.broken:
+            raise pickle.PicklingError("observer state cannot be pickled")
+        return {}
+
+
+class _ForgetfulObserver:
+    """Loses its order count in pickling, as a ``__getstate__`` that
+    drops a field would."""
+
+    def __init__(self):
+        self.total_orders_created = 5
+
+    def __getstate__(self):
+        return {"total_orders_created": 0}
 
 
 class DiskTierBase(unittest.TestCase):
@@ -253,8 +288,8 @@ class TestDiskCacheUnit(DiskTierBase):
 
     def test_only_cache_entries_skip_fsync(self):
         """``DiskCache.store`` makes no fsync; the store's manifest, a
-        default ``atomic_write`` and every file of a checkpoint save
-        still make one each."""
+        default ``atomic_write`` and a checkpoint save still make one
+        each."""
         with tempfile.TemporaryDirectory() as tmp:
             disk = self._cache(tmp)
             with mock.patch("os.fsync", wraps=os.fsync) as fsync:
@@ -270,14 +305,8 @@ class TestDiskCacheUnit(DiskTierBase):
                 fsync.reset_mock()
                 checkpointer = Checkpointer(os.path.join(tmp, "run.ckpt"),
                                             small_preset(days=DAYS))
-                simulator = types.SimpleNamespace(
-                    world=types.SimpleNamespace(today=None),
-                    _traffic_rng=random.Random(0),
-                )
-                checkpointer.save(simulator, [], 0, SimDate("2013-11-13"))
-                # Every chunk, the day manifest and HEAD.
-                self.assertGreater(checkpointer.chunks_written, 0)
-                self.assertEqual(fsync.call_count, checkpointer.chunks_written + 2)
+                checkpointer.save(_bare_simulator(), [], 0, SimDate("2013-11-13"))
+                self.assertEqual(fsync.call_count, 1)
 
     def test_manifest_names_never_leave_the_store(self):
         """The caches retired on open are named by ``manifest.json``,
@@ -380,54 +409,19 @@ class TestWarmStartStudy(DiskTierBase):
                              f"warm run re-stored entries: {deltas}")
 
 
-class TestChunkSpans(unittest.TestCase):
-    def test_spans_cover_exactly(self):
-        data = os.urandom(300_000)
-        spans = chunk_spans(data)
-        self.assertEqual(spans[0][0], 0)
-        self.assertEqual(spans[-1][1], len(data))
-        for (_, prev_end), (start, _) in zip(spans, spans[1:]):
-            self.assertEqual(prev_end, start)
-        reassembled = b"".join(data[s:e] for s, e in spans)
-        self.assertEqual(reassembled, data)
-
-    def test_shared_suffix_re_aligns(self):
-        import hashlib
-
-        # Distinct ~1 KiB blocks, each ending at the chunk anchor, so the
-        # content defines stable chunk boundaries with unique digests.
-        blocks = [
-            hashlib.blake2b(i.to_bytes(4, "big"), digest_size=64).digest() * 16
-            + b"\x94\x00"
-            for i in range(60)
-        ]
-        body = b"".join(blocks)
-        original = b"A" * 10_000 + body
-        shifted = b"A" * 10_000 + b"INSERTED-BYTES" + body
-
-        def digests(blob):
-            return {hashlib.blake2b(blob[s:e], digest_size=16).hexdigest()
-                    for s, e in chunk_spans(blob)}
-
-        shared = digests(original) & digests(shifted)
-        # An insertion near the front must not re-chunk the whole tail.
-        self.assertGreater(len(shared), len(chunk_spans(original)) // 2)
-
-
 class TestDeltaCheckpoint(DiskTierBase):
-    def test_every_day_checkpoint_writes_fraction_of_payload(self):
+    def test_every_day_checkpoint_saves_each_day_and_clears(self):
         with tempfile.TemporaryDirectory() as tmp:
             run = _study(checkpoint_path=os.path.join(tmp, "run.ckpt"),
                          checkpoint_every_days=1)
             run.execute()
             stats = run.checkpoint_stats
             self.assertEqual(stats["saves"], DAYS)
-            self.assertGreater(stats["chunks_reused"], 0)
-            ratio = stats["bytes_written"] / stats["payload_bytes_total"]
-            self.assertLess(
-                ratio, 0.40,
-                f"delta store wrote {ratio:.1%} of the whole-pickle bytes",
-            )
+            # The chunk keys perfbench reads: one file a save, no reuse.
+            self.assertEqual(stats["chunks_written"], DAYS)
+            self.assertEqual((stats["chunks_reused"], stats["compactions"]), (0, 0))
+            self.assertGreater(stats["bytes_written"], stats["payload_bytes_total"])
+            self.assertLess(stats["delta_ratio"], 1.01)
             # Completion cleared the store.
             self.assertFalse(os.path.exists(os.path.join(tmp, "run.ckpt")))
 
@@ -460,12 +454,8 @@ class TestDeltaCheckpoint(DiskTierBase):
                 _study(fault_profile=profile, fault_seed=6,
                        checkpoint_path=ckpt, checkpoint_every_days=1,
                        die_after_day=9).execute()
-            self.assertTrue(os.path.isdir(ckpt))
-            # Compaction ran (save 7 of 10) and pruned old day manifests.
-            manifests = [n for n in os.listdir(ckpt)
-                         if n.startswith("day-") and n.endswith(".json")]
-            self.assertLessEqual(len(manifests), 4)
-            self.assertTrue(os.path.exists(os.path.join(ckpt, "HEAD")))
+            # Ten saves leave one file and no temp file.
+            self.assertEqual(os.listdir(ckpt), [CHECKPOINT_FILE])
             resumed = _study(checkpoint_path=ckpt, resume=True).execute()
             self.assertEqual(_psr_bytes(resumed), expected)
             self.assertFalse(os.path.exists(ckpt))
@@ -484,10 +474,10 @@ class TestDeltaCheckpoint(DiskTierBase):
             with self.assertRaises(SimulatedCrash):
                 _study(jobs=1, checkpoint_path=ckpt,
                        checkpoint_every_days=1, die_after_day=7).execute()
-            head = Path(os.path.join(ckpt, "HEAD")).read_bytes()
+            saved = Path(ckpt, CHECKPOINT_FILE).read_bytes()
             with self.assertRaisesRegex(ValueError, "jobs must be 1"):
                 _study(jobs=2, checkpoint_path=ckpt, resume=True)
-            self.assertEqual(Path(os.path.join(ckpt, "HEAD")).read_bytes(), head)
+            self.assertEqual(Path(ckpt, CHECKPOINT_FILE).read_bytes(), saved)
             reset_caches()  # new-process simulation; disk stays warm
             before = dict(PERF.counters())
             resumed_run = _study(jobs=1, checkpoint_path=ckpt, resume=True)
@@ -499,18 +489,61 @@ class TestDeltaCheckpoint(DiskTierBase):
                             if name.endswith(".disk_hit"))
             self.assertGreater(disk_hits, 0)
 
-    def test_tampered_chunk_refuses_resume(self):
+    def test_damaged_checkpoint_file_refuses_resume(self):
+        """Every damage is refused before ``pickle.loads`` sees a byte,
+        an edited header field included: the digest covers it too."""
         with tempfile.TemporaryDirectory() as tmp:
             ckpt = os.path.join(tmp, "run.ckpt")
             with self.assertRaises(SimulatedCrash):
                 _study(checkpoint_path=ckpt, die_after_day=3).execute()
-            head = json.loads(Path(os.path.join(ckpt, "HEAD")).read_text())
-            manifest = json.loads(
-                Path(os.path.join(ckpt, head["manifest"])).read_text())
-            victim = manifest["chunks"][0] + ".z"
-            Path(os.path.join(ckpt, "chunks", victim)).write_bytes(b"corrupt")
-            with self.assertRaises(CheckpointError):
-                load_checkpoint(ckpt, small_preset(days=DAYS))
+            path = Path(ckpt, CHECKPOINT_FILE)
+            saved = path.read_bytes()
+            body = saved.index(b"\n") + 1
+            middle = body + (len(saved) - body) // 2
+            self.assertIn(b'"day_index": 3,', saved[:body])
+            damaged = {
+                "flipped payload byte": (saved[:middle] + bytes([saved[middle] ^ 1])
+                                         + saved[middle + 1:]),
+                "cut short": saved[:middle],
+                "garbled header": b"\x00" * 16 + saved[16:],
+                "edited day index": saved.replace(b'"day_index": 3,',
+                                                  b'"day_index": 2,', 1),
+            }
+            for damage, data in damaged.items():
+                with self.subTest(damage=damage):
+                    path.write_bytes(data)
+                    with mock.patch("pickle.loads") as loads:
+                        with self.assertRaises(CheckpointError):
+                            load_checkpoint(ckpt, small_preset(days=DAYS))
+                    loads.assert_not_called()
+            path.write_bytes(saved)
+            self.assertEqual(load_checkpoint(ckpt, small_preset(days=DAYS))[2], 4)
+
+    def test_failed_save_keeps_the_previous_one(self):
+        """A save that raises midway, while pickling or at the fsync,
+        leaves the last good save loadable and no temp file behind."""
+        config = small_preset(days=DAYS)
+        disk_full = OSError(errno.ENOSPC, "No space left on device")
+        for where in ("pickling", "fsync"):
+            with self.subTest(where=where), tempfile.TemporaryDirectory() as tmp:
+                ckpt = os.path.join(tmp, "run.ckpt")
+                observer = _FragileObserver()
+                checkpointer = Checkpointer(ckpt, config)
+                checkpointer.save(_bare_simulator(), [observer], 0, SimDate("2013-11-13"))
+                first = Path(ckpt, CHECKPOINT_FILE).read_bytes()
+                with contextlib.ExitStack() as stack:
+                    if where == "pickling":
+                        observer.broken = True
+                        stack.enter_context(self.assertRaises(pickle.PicklingError))
+                    else:
+                        stack.enter_context(mock.patch("os.fsync", side_effect=disk_full))
+                        stack.enter_context(self.assertRaises(OSError))
+                    checkpointer.save(_bare_simulator(), [observer], 1,
+                                      SimDate("2013-11-14"))
+                self.assertEqual(os.listdir(ckpt), [CHECKPOINT_FILE])
+                self.assertEqual(Path(ckpt, CHECKPOINT_FILE).read_bytes(), first)
+                self.assertEqual(checkpointer.saves, 1)
+                self.assertEqual(load_checkpoint(ckpt, config)[2], 1)
 
     def test_legacy_single_file_checkpoint_rejected(self):
         with tempfile.TemporaryDirectory() as tmp:
@@ -523,21 +556,29 @@ class TestDeltaCheckpoint(DiskTierBase):
             self.assertNotEqual(CHECKPOINT_SCHEMA, 1)
 
     def test_schema2_checkpoint_refused(self):
-        """A store written before the object graph changed is refused up
-        front, naming both schemas, instead of failing inside unpickling."""
+        """A chunk store of the layout schema 2 introduced (``HEAD`` plus
+        ``chunks/``, schemas 2 and 3) is refused up front, naming both
+        schemas; ``clear`` still removes it, and refuses a directory that
+        holds neither it nor a checkpoint file."""
+        self.assertEqual(CHECKPOINT_SCHEMA, 4)
+        for schema in (2, 3):
+            with self.subTest(schema=schema), tempfile.TemporaryDirectory() as tmp:
+                ckpt = os.path.join(tmp, "run.ckpt")
+                os.makedirs(os.path.join(ckpt, "chunks"))
+                Path(ckpt, "HEAD").write_text(json.dumps(
+                    {"schema": schema, "day_index": 2, "manifest": "day-00002.json"}))
+                with self.assertRaises(CheckpointError) as caught:
+                    load_checkpoint(ckpt, small_preset(days=DAYS))
+                message = str(caught.exception)
+                self.assertIn(f"schema {schema}", message)
+                self.assertIn("supported 4", message)
+                Checkpointer(ckpt, small_preset(days=DAYS)).clear()
+                self.assertFalse(os.path.exists(ckpt))
         with tempfile.TemporaryDirectory() as tmp:
-            ckpt = os.path.join(tmp, "run.ckpt")
-            with self.assertRaises(SimulatedCrash):
-                _study(checkpoint_path=ckpt, die_after_day=2).execute()
-            head_path = os.path.join(ckpt, "HEAD")
-            head = json.loads(Path(head_path).read_text())
-            head["schema"] = 2
-            Path(head_path).write_text(json.dumps(head))
-            with self.assertRaises(CheckpointError) as caught:
-                load_checkpoint(ckpt, small_preset(days=DAYS))
-            message = str(caught.exception)
-            self.assertIn("schema 2", message)
-            self.assertIn(f"supported {CHECKPOINT_SCHEMA}", message)
+            Path(tmp, "notes.txt").write_text("not a checkpoint\n")
+            with self.assertRaises(CheckpointError):
+                Checkpointer(tmp, small_preset(days=DAYS)).clear()
+            self.assertTrue(Path(tmp, "notes.txt").exists())
 
     def test_payload_naming_a_missing_class_refused(self):
         """A payload that passes every digest check but pickles a class
@@ -552,11 +593,7 @@ class TestDeltaCheckpoint(DiskTierBase):
         Retired.__qualname__ = "Retired"
         module.Retired = Retired
         config = small_preset(days=DAYS)
-        simulator = types.SimpleNamespace(
-            world=types.SimpleNamespace(today=None),
-            _traffic_rng=random.Random(0),
-            retired=Retired(),
-        )
+        simulator = _bare_simulator(retired=Retired())
         sys.modules[module.__name__] = module
         try:
             with tempfile.TemporaryDirectory() as tmp:
@@ -569,6 +606,17 @@ class TestDeltaCheckpoint(DiskTierBase):
                 self.assertIsInstance(caught.exception.__cause__, AttributeError)
         finally:
             del sys.modules[module.__name__]
+
+    def test_state_that_does_not_round_trip_refused(self):
+        """A payload that passes its digest but whose state comes back
+        different from what was saved fails the state digest."""
+        config = small_preset(days=DAYS)
+        with tempfile.TemporaryDirectory() as tmp:
+            ckpt = os.path.join(tmp, "run.ckpt")
+            Checkpointer(ckpt, config).save(
+                _bare_simulator(), [_ForgetfulObserver()], 0, SimDate("2013-11-13"))
+            with self.assertRaisesRegex(CheckpointError, "state digest mismatch"):
+                load_checkpoint(ckpt, config)
 
 
 class TestCacheCli(DiskTierBase):
