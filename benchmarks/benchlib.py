@@ -1,16 +1,5 @@
 """Shared helpers for benchmark reporting."""
 
-import json
-import os
-
-from repro.obs.ledger import RunLedger, build_bench_record, flatten
-from repro.obs.manifest import run_manifest
-from repro.util.atomicio import atomic_write
-
-#: BENCH files written this session; conftest verifies each carries the
-#: run manifest before the benchmark session is allowed to pass.
-WRITTEN_PATHS = []
-
 
 def print_comparison(title: str, rows) -> None:
     """Uniform 'paper vs measured' block under each benchmark."""
@@ -19,65 +8,3 @@ def print_comparison(title: str, rows) -> None:
     width = max(len(r[0]) for r in rows)
     for name, paper, measured in rows:
         print(f"  {name:<{width}}  paper: {paper:<28} measured: {measured}")
-
-
-def bench_output_dir() -> str:
-    """Where BENCH_*.json files land (repo root unless overridden)."""
-    configured = os.environ.get("REPRO_BENCH_DIR")
-    if configured:
-        os.makedirs(configured, exist_ok=True)
-        return configured
-    return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def ledger_path() -> str:
-    """The run ledger benchmarks append to: ``$REPRO_LEDGER``, falling
-    back to ``ledger.jsonl`` next to the BENCH files (the committed
-    longitudinal store)."""
-    return os.environ.get("REPRO_LEDGER") or os.path.join(
-        bench_output_dir(), "ledger.jsonl")
-
-
-def bench_history(name: str, metrics: dict, limit: int = 16) -> dict:
-    """Ledger-backed history fields for one benchmark's payload.
-
-    For each headline metric, its value across this benchmark's past
-    ledger records (oldest first, current run excluded — it is appended
-    after the payload is built), so a BENCH file alone shows the
-    trajectory that produced it."""
-    ledger = RunLedger(ledger_path())
-    series = ledger.history(sorted(flatten(metrics)), kind=f"bench:{name}")
-    return {
-        "runs": len(ledger.records(kind=f"bench:{name}")),
-        "series": {path: values[-limit:]
-                   for path, values in sorted(series.items()) if values},
-    }
-
-
-def write_bench_json(name: str, payload: dict, ledger_metrics=None) -> str:
-    """Write one benchmark's results as ``BENCH_<name>.json``.
-
-    The payload should already be JSON-serializable; a ``schema`` key is
-    added so downstream tooling can detect format changes, and every file
-    carries the shared run ``manifest`` (version, git SHA, host, switches)
-    so trajectories stay comparable across machines and commits.
-
-    ``ledger_metrics`` (a flat or nested dict of the benchmark's headline
-    numbers) additionally appends one ``bench:<name>`` record to the run
-    ledger and embeds the ledger-backed ``history`` block in the payload,
-    so the gate can band this benchmark and the BENCH file shows its own
-    trajectory.
-    """
-    path = os.path.join(bench_output_dir(), f"BENCH_{name}.json")
-    manifest = run_manifest()
-    body = {"schema": 1, "benchmark": name, "manifest": manifest, **payload}
-    if ledger_metrics is not None:
-        metrics = flatten(ledger_metrics)
-        body["history"] = bench_history(name, metrics)
-        RunLedger(ledger_path()).append(
-            build_bench_record(name, metrics, manifest=manifest))
-    with atomic_write(path) as handle:
-        json.dump(body, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    WRITTEN_PATHS.append(path)
-    return path

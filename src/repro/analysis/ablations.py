@@ -28,8 +28,7 @@ from __future__ import annotations
 import gc
 import multiprocessing
 from dataclasses import dataclass, replace
-from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.ecosystem.config import ScenarioConfig
 from repro.ecosystem.simulator import Simulator
@@ -202,7 +201,7 @@ VARIANT_ORDER = (
 
 def _run_variant(
     task: Tuple[str, ScenarioConfig, int, bool, bool],
-) -> Tuple[AblationOutcome, Dict[str, int], List[dict], float]:
+) -> Tuple[AblationOutcome, Dict[str, int], List[dict]]:
     """Pool worker: one variant end to end, in its own process.
 
     Module-level (picklable) on purpose.  The parent's cache and tracing
@@ -219,9 +218,8 @@ def _run_variant(
     # spans sent back are this variant's own, not accumulated state.
     TRACER.reset()
     PERF.reset()
-    start = perf_counter()
     outcome = run_ablation(name, config, crawl_stride)
-    return outcome, PERF.counters(), TRACER.export(), perf_counter() - start
+    return outcome, PERF.counters(), TRACER.export()
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -236,7 +234,6 @@ def run_intervention_ablations(
     base_factory: Callable[[], ScenarioConfig],
     crawl_stride: int = 2,
     jobs: int = 1,
-    timings: Optional[Dict[str, float]] = None,
 ) -> List[AblationOutcome]:
     """Run every standard variant; 'baseline' comes first.
 
@@ -247,21 +244,11 @@ def run_intervention_ablations(
     returns results in submission order, so the outcome list is identical
     for any job count; a test pins that, along with outcome equality
     against the sequential path.
-
-    ``timings``, when given, is filled with per-variant wall seconds
-    (worker-side wall for pooled runs) keyed by variant name — reporting
-    only, kept out of :class:`AblationOutcome` so outcome equality across
-    job counts stays exact.
     """
     variants = ablation_variants(base_factory)
     if jobs <= 1:
-        outcomes = []
-        for name in VARIANT_ORDER:
-            start = perf_counter()
-            outcomes.append(run_ablation(name, variants[name], crawl_stride))
-            if timings is not None:
-                timings[name] = perf_counter() - start
-        return outcomes
+        return [run_ablation(name, variants[name], crawl_stride)
+                for name in VARIANT_ORDER]
     tasks = [(name, variants[name], crawl_stride, caches_enabled(),
               tracing_enabled())
              for name in VARIANT_ORDER]
@@ -271,10 +258,8 @@ def run_intervention_ablations(
     # sums commute, so the merged totals are schedule-independent), and
     # adopt worker span trees in submission (= VARIANT_ORDER) order so the
     # merged trace is deterministic for any job count.
-    for track, (outcome, counters, spans, wall_s) in enumerate(paired, start=1):
+    for track, (_, counters, spans) in enumerate(paired, start=1):
         for name, value in sorted(counters.items()):
             PERF.count(name, value)
         TRACER.adopt(spans, track=track)
-        if timings is not None:
-            timings[outcome.name] = wall_s
-    return [outcome for outcome, _, _, _ in paired]
+    return [outcome for outcome, _, _ in paired]

@@ -17,7 +17,6 @@ from repro.classify.labeling import LabeledPage
 from repro.classify.linear import OneVsRestL1Logistic
 from repro.crawler.records import PageArchive, PsrDataset
 from repro.obs.trace import TRACER
-from repro.util.perf import PERF
 
 
 @dataclass
@@ -55,14 +54,13 @@ class CampaignClassifier:
     def fit(self, labeled: Sequence[LabeledPage]) -> "CampaignClassifier":
         if not labeled:
             raise ValueError("no labeled pages")
-        with PERF.timer("classifier.fit"):
-            with TRACER.span("features", pages=len(labeled)):
-                feature_maps = [extract_features(page.html) for page in labeled]
-                self.vocabulary = Vocabulary(min_df=self.min_df).fit(feature_maps)
-                X = vectorize(feature_maps, self.vocabulary)
-            with TRACER.span("fit", pages=len(labeled)):
-                self.model = OneVsRestL1Logistic(lam=self.lam)
-                self.model.fit(X, [page.campaign for page in labeled])
+        with TRACER.span("features", pages=len(labeled)):
+            feature_maps = [extract_features(page.html) for page in labeled]
+            self.vocabulary = Vocabulary(min_df=self.min_df).fit(feature_maps)
+            X = vectorize(feature_maps, self.vocabulary)
+        with TRACER.span("fit", pages=len(labeled)):
+            self.model = OneVsRestL1Logistic(lam=self.lam)
+            self.model.fit(X, [page.campaign for page in labeled])
         return self
 
     @property

@@ -6,11 +6,11 @@ Commands:
   artifacts (PSR dataset, tables, sparklines, summary) to a directory;
 * ``ablations`` — run the intervention-policy counterfactuals and print
   the comparison table;
-* ``perf`` — run a study and print the hot-path timing breakdown from the
-  always-on :data:`repro.util.perf.PERF` registry;
 * ``trace`` — run a study with span tracing on and print the hierarchical
-  phase tree (:mod:`repro.obs.trace`); ``--json`` exports Chrome/Perfetto
-  ``trace_event`` JSON, ``--metrics`` the per-sim-day series;
+  phase tree (:mod:`repro.obs.trace`), the one timer report: each PERF
+  timer shows as a ``·`` leaf under the span that accrued it; ``--json``
+  exports Chrome/Perfetto ``trace_event`` JSON, ``--metrics`` the
+  per-sim-day series;
 * ``chaos`` — run the same scenario clean and under a named fault profile
   (:mod:`repro.faults`), report injected/retried/degraded counters, and
   assert the resilience invariants (determinism, headline tolerance);
@@ -59,7 +59,6 @@ from repro.lint import (
 )
 from repro.obs.gate import (
     gate_history,
-    gate_metrics,
     load_baseline,
     run_gate,
     write_baseline,
@@ -68,6 +67,7 @@ from repro.obs.ledger import (
     LEDGER_ENV,
     RunLedger,
     build_study_record,
+    shown_metrics,
     timed,
 )
 from repro.obs.manifest import run_manifest
@@ -86,7 +86,7 @@ from repro.util.perf import PERF
 
 
 def _add_study_args(parser: argparse.ArgumentParser) -> None:
-    """The scenario/knob options shared by run / perf / trace."""
+    """The scenario/knob options shared by run / trace / chaos."""
     parser.add_argument("--preset", choices=("small", "paper"), default="small")
     parser.add_argument("--scale", type=float, default=0.05,
                         help="paper-preset census scale (ignored for small)")
@@ -117,6 +117,14 @@ def _add_ledger_args(parser: argparse.ArgumentParser,
 
 def _ledger_path(args) -> Optional[str]:
     return args.ledger or os.environ.get(LEDGER_ENV) or None
+
+
+def _write_manifest(out: str, manifest: dict) -> None:
+    """``manifest.json``: the one place an output directory keeps its
+    run's provenance; the data files beside it carry none."""
+    with atomic_write(os.path.join(out, "manifest.json")) as handle:
+        json.dump(manifest, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -159,15 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ablations.add_argument("--json", default=None, metavar="PATH",
                            help="write outcomes + run manifest as JSON")
 
-    perf = sub.add_parser(
-        "perf", help="run a study and print the hot-path perf breakdown"
-    )
-    _add_study_args(perf)
-    perf.add_argument("--json", default=None, metavar="PATH",
-                      help="also dump the registry snapshot as JSON")
-    perf.add_argument("--top", type=int, default=None, metavar="N",
-                      help="show only the N widest timers")
-
     trace = sub.add_parser(
         "trace", help="run a traced study and print the span tree"
     )
@@ -177,9 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(open in chrome://tracing or ui.perfetto.dev)")
     trace.add_argument("--metrics", default=None, metavar="PATH",
                        help="write the per-sim-day metrics.jsonl series")
-    trace.add_argument("--telemetry", default=None, metavar="PATH",
-                       help="write the per-sim-day telemetry.jsonl sidecar "
-                            "(serve µs and disk gauges)")
     trace.add_argument("--counters", action="store_true",
                        help="also show PERF counter deltas per span")
     trace.add_argument("--sparklines", action="store_true",
@@ -214,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            "(default: the ledger's latest record)")
     gate.add_argument("--kind", default=None,
                       help="restrict record selection to this kind "
-                           "(e.g. study, bench:study)")
+                           "(e.g. study, chaos)")
     gate.add_argument("--update", action="store_true",
                       help="write/refresh the baseline entry from the "
                            "selected record instead of gating")
@@ -342,21 +338,14 @@ def command_run(args) -> int:
     if study.resumed_from_day is not None:
         print(f"resumed from checkpoint at day index "
               f"{study.resumed_from_day}")
-    dataset = results.dataset
-    manifest = run_manifest(config)
     os.makedirs(args.out, exist_ok=True)
 
-    dataset.dump_jsonl(os.path.join(args.out, "psrs.jsonl"),
-                       manifest=manifest if args.trace else None)
-    # metrics.jsonl rides with --trace only; its rows are deterministic
-    # (timing gauges live in telemetry.jsonl), but its manifest header is
-    # provenance, and plain runs keep the documented guarantee that
-    # same-seed artifacts diff byte-identical.
+    results.dataset.dump_jsonl(os.path.join(args.out, "psrs.jsonl"))
+    # metrics.jsonl rides with --trace.  Its rows are deterministic, and
+    # provenance (created_at, git_sha, cpus) goes only to manifest.json
+    # and trace.json, so two traced runs differ in those two files alone.
     if args.trace and results.metrics is not None:
-        results.metrics.write_jsonl(os.path.join(args.out, "metrics.jsonl"),
-                                    manifest=manifest)
-        results.metrics.write_telemetry_jsonl(
-            os.path.join(args.out, "telemetry.jsonl"), manifest=manifest)
+        results.metrics.write_jsonl(os.path.join(args.out, "metrics.jsonl"))
 
     with TRACER.span("analysis"):
         artifacts = _analysis_artifacts(args, results)
@@ -364,15 +353,14 @@ def command_run(args) -> int:
         with atomic_write(os.path.join(args.out, name)) as handle:
             handle.write(content + "\n")
     if args.trace:
+        manifest = run_manifest(config)
         TRACER.dump_chrome_trace(os.path.join(args.out, "trace.json"),
                                  manifest=manifest)
-        with atomic_write(os.path.join(args.out, "manifest.json")) as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_manifest(args.out, manifest)
         print(TRACER.render())
     print(artifacts["summary.txt"])
     extras = "psrs.jsonl" if not args.trace else \
-        "psrs.jsonl, metrics.jsonl, telemetry.jsonl, trace.json, manifest.json"
+        "psrs.jsonl, metrics.jsonl, trace.json, manifest.json"
     print(f"\nArtifacts written to {args.out}/ "
           f"({', '.join(sorted(artifacts))} + {extras})")
     ledger_path = _ledger_path(args)
@@ -499,27 +487,6 @@ def command_ablations(args) -> int:
     return 0
 
 
-def command_perf(args) -> int:
-    from repro.crawler import CrawlPolicy
-    from repro.study import StudyRun
-
-    if args.no_cache:
-        set_caches_enabled(False)
-    _apply_disk_args(args)
-    config = _config_for(args)
-    print(f"Profiling {args.preset} preset "
-          f"({len(config.verticals)} verticals, {len(config.window)} days, "
-          f"cache={'off' if args.no_cache else 'on'})...",
-          flush=True)
-    PERF.reset()
-    StudyRun(config, crawl_policy=CrawlPolicy(stride_days=args.stride)).execute()
-    print(PERF.format_table(top=args.top))
-    if args.json:
-        PERF.dump_json(args.json, extra={"manifest": run_manifest(config)})
-        print(f"\nPerf snapshot written to {args.json}")
-    return 0
-
-
 def command_trace(args) -> int:
     from repro.crawler import CrawlPolicy
     from repro.study import StudyRun
@@ -537,7 +504,6 @@ def command_trace(args) -> int:
         config, crawl_policy=CrawlPolicy(stride_days=args.stride),
     ).execute()
     wall_s = perf_counter() - start
-    manifest = run_manifest(config)
     print(TRACER.render(show_counters=args.counters))
     traced_s = TRACER.total_s()
     print(f"\ntraced {traced_s:.3f}s of {wall_s:.3f}s wall-clock "
@@ -545,19 +511,13 @@ def command_trace(args) -> int:
     if args.sparklines and results.metrics is not None:
         print()
         print(results.metrics.render_sparklines())
-        print()
-        print(results.metrics.render_telemetry_sparklines())
     if args.json:
-        TRACER.dump_chrome_trace(args.json, manifest=manifest)
+        TRACER.dump_chrome_trace(args.json, manifest=run_manifest(config))
         print(f"\nChrome trace written to {args.json} "
               f"(open in chrome://tracing or ui.perfetto.dev)")
     if args.metrics and results.metrics is not None:
-        results.metrics.write_jsonl(args.metrics, manifest=manifest)
+        results.metrics.write_jsonl(args.metrics)
         print(f"Per-sim-day metrics written to {args.metrics}")
-    if args.telemetry and results.metrics is not None:
-        results.metrics.write_telemetry_jsonl(args.telemetry,
-                                              manifest=manifest)
-        print(f"Per-sim-day telemetry written to {args.telemetry}")
     return 0
 
 
@@ -608,13 +568,9 @@ def command_chaos(args) -> int:
     clean.dataset.dump_jsonl(os.path.join(args.out, "psrs-clean.jsonl"))
     chaos.dataset.dump_jsonl(os.path.join(args.out, "psrs.jsonl"))
     if chaos.metrics is not None:
-        chaos_manifest = run_manifest(config, fault_profile=profile.name,
-                                      fault_seed=args.fault_seed)
-        chaos.metrics.write_jsonl(
-            os.path.join(args.out, "metrics.jsonl"), manifest=chaos_manifest)
-        chaos.metrics.write_telemetry_jsonl(
-            os.path.join(args.out, "telemetry.jsonl"),
-            manifest=chaos_manifest)
+        chaos.metrics.write_jsonl(os.path.join(args.out, "metrics.jsonl"))
+    _write_manifest(args.out, run_manifest(
+        config, fault_profile=profile.name, fault_seed=args.fault_seed))
 
     # The clean run is the baseline; the chaos run must stay inside the
     # tolerance bands.  Only the banded paths are enforced — the rest of
@@ -809,7 +765,7 @@ def command_compare(args) -> int:
         print(f"repro compare: {exc}", file=sys.stderr)
         return 2
     print(render_record_diff(record_a, record_b,
-                             gate_metrics(record_a), gate_metrics(record_b)))
+                             shown_metrics(record_a), shown_metrics(record_b)))
     return 0
 
 
@@ -893,8 +849,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return command_run(args)
     if args.command == "ablations":
         return command_ablations(args)
-    if args.command == "perf":
-        return command_perf(args)
     if args.command == "trace":
         return command_trace(args)
     if args.command == "chaos":

@@ -210,16 +210,11 @@ class PsrDataset:
     # Serialization
     # ------------------------------------------------------------------ #
 
-    def dump_jsonl(self, path: str, manifest: Optional[dict] = None) -> None:
-        """One record per line; with ``manifest``, a leading provenance row
-        (``{"_type": "manifest", ...}``) that :meth:`load_jsonl` skips.
-        Record lines are byte-identical with or without the header.
-        Written atomically: a kill mid-dump leaves the previous file."""
+    def dump_jsonl(self, path: str) -> None:
+        """One record per line and nothing else: run provenance goes to
+        ``manifest.json``.  Written atomically: a kill mid-dump leaves the
+        previous file."""
         with atomic_write(path) as handle:
-            if manifest is not None:
-                handle.write(json.dumps({"_type": "manifest", **manifest},
-                                        sort_keys=True))
-                handle.write("\n")
             for record in self.records:
                 handle.write(record.to_json())
                 handle.write("\n")
@@ -230,7 +225,9 @@ class PsrDataset:
 
         Only the *last* line may be unparseable (a writer killed
         mid-append under a non-atomic writer); it is skipped with a
-        warning.  Corruption anywhere else still raises."""
+        warning.  Corruption anywhere else still raises.  A leading
+        ``{"_type": "manifest", ...}`` row, which files written by earlier
+        versions carry, is skipped."""
         dataset = cls()
         with open(path) as handle:
             lines = handle.read().splitlines()

@@ -18,11 +18,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.trace import TRACER
-from repro.util.perf import PERF
 from repro.util.randmath import binomial, poisson
 from repro.util.rng import RandomStreams
 from repro.util.simtime import SimDate
@@ -183,17 +181,14 @@ class Simulator:
         self.build()
         world = self.world
         vertical_of_term = self.vertical_of_term_map()
-        day_timer = PERF.handle("simulator.day")
         with TRACER.span("simulate", days=len(world.window) - start_index):
             for day_index, day in enumerate(world.window):
                 if day_index < start_index:
                     continue
-                day_start = perf_counter()
                 with TRACER.span("day", sim_day=day.isoformat()):
                     context = self.step_day(day, vertical_of_term)
                     for observer in observers:
                         observer.on_day(world, context)
-                day_timer.add(perf_counter() - day_start)
                 if checkpointer is not None:
                     checkpointer.on_day_complete(self, observers, day_index, day)
         return world

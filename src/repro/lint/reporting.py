@@ -91,8 +91,8 @@ def format_json(report: LintReport) -> str:
 def write_summary(report: LintReport, path: str) -> None:
     """Write the BENCH_lint.json-style summary-count artifact.
 
-    Like every BENCH writer, the file carries the shared run manifest so
-    count diffs are attributable to a commit/host, not guessed at."""
+    The file carries the shared run manifest so count diffs are
+    attributable to a commit/host, not guessed at."""
     from repro.obs.manifest import run_manifest
 
     payload = {"version": SCHEMA_VERSION, "manifest": run_manifest()}

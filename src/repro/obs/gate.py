@@ -1,25 +1,17 @@
 """Tolerance bands and the release gate over the run ledger.
 
 The paper's claims live in a handful of headline numbers — the Table 1–3
-cells, PSR totals, poisoning-curve quantiles, seized-store lifetimes —
-and the reproduction's performance story in a few timings.  This module
-turns those into enforced invariants: a **band** is a dot-path pattern
-plus an absolute/relative tolerance, and the **gate** checks the latest
-ledger record (:mod:`repro.obs.ledger`) against a committed baseline
-record, banding every baseline metric and failing on drift.
+cells, PSR totals, poisoning-curve quantiles, seized-store lifetimes.
+This module turns those into enforced invariants: a **band** is a
+dot-path pattern plus an absolute/relative tolerance, and the **gate**
+checks the latest ledger record (:mod:`repro.obs.ledger`) against a
+committed baseline record, banding every baseline metric and failing on
+drift.
 
-Two band kinds with deliberately different semantics:
-
-* ``metric`` — deterministic headline values.  Checked everywhere, and
-  their verdict lines include the numbers: same scenario → same values →
-  the rendered verdict is byte-identical with the caches on or off and
-  with a cold or warm disk cache (an acceptance invariant pinned in CI).
-* ``perf`` — wall times and per-call µs.  Inherently noisy and
-  host-dependent, so they only *arm* when the current host fingerprint
-  (cpus/platform/python) **and** the run switches (caches, disk tier —
-  byte-identity-preserving but not timing-preserving) match the
-  baseline's, and their verdict lines never print the measured value —
-  drift shows in the drift *report*, not the deterministic verdict.
+Every banded value is deterministic: same scenario → same values → the
+rendered verdict is byte-identical with the caches on or off and with a
+cold or warm disk cache (an acceptance invariant pinned in CI).  Timing
+is not gated here; perfbench measures it.
 
 Checks are derived from the **baseline's** paths: a metric the baseline
 never recorded (say ``disk_store.*`` from a run without ``--disk-cache``)
@@ -35,8 +27,6 @@ from __future__ import annotations
 
 import json
 import os
-import platform
-import sys
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from typing import Dict, List, Optional, Sequence
@@ -58,9 +48,6 @@ class Band:
     #: ``both`` | ``upper`` (current may not exceed baseline + tolerance)
     #: | ``lower`` (current may not fall below baseline - tolerance).
     direction: str = "both"
-    #: ``metric`` (deterministic, value-rendering) | ``perf`` (host-gated,
-    #: status-only in the verdict).
-    kind: str = "metric"
 
     def matches(self, path: str) -> bool:
         return fnmatchcase(path, self.pattern)
@@ -92,62 +79,7 @@ DEFAULT_BANDS: Sequence[Band] = (
     Band("disk_store.quarantined", abs_tol=0, direction="upper"),
     Band("disk_store.utilization", abs_tol=0.25, direction="upper"),
     Band("disk_store.entries", rel_tol=0.25, abs_tol=64),
-    # Perf bands: noisy, host-gated, one-sided (faster is never drift).
-    Band("wall_s", rel_tol=0.50, direction="upper", kind="perf"),
-    Band("perf.engine.serp.mean_us", rel_tol=0.75, direction="upper",
-         kind="perf"),
-    Band("perf.simulator.day.mean_us", rel_tol=0.75, direction="upper",
-         kind="perf"),
-    # Benchmark-record metrics (bench:study / bench:serp / bench:lint).
-    Band("psrs", rel_tol=0.02, abs_tol=1),
-    Band("checkpoint_delta_ratio", abs_tol=0.10, direction="upper"),
-    Band("total_s_cached", rel_tol=0.50, direction="upper", kind="perf"),
-    Band("*_us_per_serp", rel_tol=0.75, direction="upper", kind="perf"),
-    Band("*mean_us", rel_tol=0.75, direction="upper", kind="perf"),
-    Band("*_s", rel_tol=0.75, direction="upper", kind="perf"),
-    Band("*speedup", rel_tol=0.50, direction="lower", kind="perf"),
 )
-
-
-def host_fingerprint(manifest: Optional[dict] = None) -> dict:
-    """The host facts that make perf numbers comparable across runs."""
-    if manifest is not None:
-        return {
-            "cpus": manifest.get("cpus"),
-            "platform": manifest.get("platform"),
-            "python": manifest.get("python"),
-        }
-    return {
-        "cpus": os.cpu_count(),
-        "platform": sys.platform,
-        "python": platform.python_version(),
-    }
-
-
-def perf_metrics(record: dict) -> Dict[str, float]:
-    """A record's timing metrics, flattened: run wall time plus the PERF
-    timer snapshot (``perf.<timer>.mean_us`` / ``.total_s``)."""
-    flat: Dict[str, float] = {}
-    if record.get("wall_s") is not None:
-        flat["wall_s"] = record["wall_s"]
-    for name in sorted(record.get("perf") or {}):
-        entry = record["perf"][name]
-        if not isinstance(entry, dict):
-            continue
-        for stat in ("mean_us", "total_s"):
-            if stat in entry:
-                flat[f"perf.{name}.{stat}"] = entry[stat]
-    return flat
-
-
-def gate_metrics(record: dict) -> Dict[str, float]:
-    """Everything bandable in one record: deterministic headline metrics
-    plus timing metrics.  Which semantics apply is the matching band's
-    ``kind``, not the dict of origin — a benchmark's headline legitimately
-    carries wall times."""
-    flat = record_metrics(record)
-    flat.update(perf_metrics(record))
-    return flat
 
 
 @dataclass
@@ -158,8 +90,7 @@ class BandCheck:
     band: Band
     baseline: float
     current: Optional[float]
-    #: ``ok`` | ``drift`` | ``missing`` | ``skipped`` (perf band with a
-    #: foreign host fingerprint or different run switches).
+    #: ``ok`` | ``drift`` | ``missing``.
     status: str = "ok"
 
     @property
@@ -177,15 +108,13 @@ def check_bands(
     current: Dict[str, float],
     baseline: Dict[str, float],
     bands: Sequence[Band] = DEFAULT_BANDS,
-    perf_armed: bool = True,
 ) -> List[BandCheck]:
     """Band every baseline path against the current values.
 
     Paths the baseline lacks are not checked (optional subsystems);
     baseline paths without a matching band are not checked (unbanded
     provenance); a banded baseline path absent from ``current`` is a
-    ``missing`` drift.  ``perf_armed=False`` parks every perf-kind band
-    as ``skipped`` (foreign host or switch settings)."""
+    ``missing`` drift."""
     checks: List[BandCheck] = []
     for path in sorted(baseline):
         band = next((b for b in bands if b.matches(path)), None)
@@ -194,9 +123,7 @@ def check_bands(
         base = baseline[path]
         value = current.get(path)
         check = BandCheck(path=path, band=band, baseline=base, current=value)
-        if band.kind == "perf" and not perf_armed:
-            check.status = "skipped"
-        elif value is None:
+        if value is None:
             check.status = "missing"
         else:
             delta = value - base
@@ -224,19 +151,14 @@ class GateResult:
         return not self.drifted
 
     def verdict_lines(self) -> List[str]:
-        """The deterministic verdict: one line per metric-kind check.
+        """The deterministic verdict: one line per check.
 
-        Metric values are deterministic by construction (same scenario →
-        same numbers, cached or not, cold or warm), so this rendering
-        is byte-identical across those variants on a clean run — CI pins
-        that with ``cmp``.  Perf checks are summarized in one count line
-        (their per-run values are noise); their detail lives in the drift
-        report, and a perf drift still flips the header to DRIFT."""
+        Banded values are deterministic by construction (same scenario →
+        same numbers, cached or not, cold or warm), so this rendering is
+        byte-identical across those variants on a clean run — CI pins
+        that with ``cmp``."""
         lines = [f"gate {self.key}: {'PASS' if self.ok else 'DRIFT'}"]
-        perf_checks = [c for c in self.checks if c.band.kind == "perf"]
         for check in self.checks:
-            if check.band.kind == "perf":
-                continue
             if check.status == "missing":
                 lines.append(
                     f"  [missing] {check.path} "
@@ -249,20 +171,6 @@ class GateResult:
                     f"  [{check.status:>7s}] {check.path} "
                     f"{check.baseline:g} -> {check.current:g} "
                     f"(allowed ±{check.allowed:g}{span})"
-                )
-        if perf_checks:
-            armed = [c for c in perf_checks if c.status != "skipped"]
-            if not armed:
-                lines.append(
-                    f"  perf: {len(perf_checks)} banded, "
-                    f"skipped (foreign host or switches)"
-                )
-            else:
-                bad = sum(1 for c in armed
-                          if c.status in ("drift", "missing"))
-                lines.append(
-                    f"  perf: {len(armed)} banded, "
-                    f"{bad} drifted (see drift report)"
                 )
         return lines
 
@@ -308,7 +216,6 @@ def extra_bands(baseline: dict) -> List[Band]:
             abs_tol=spec.get("abs_tol", 0.0),
             rel_tol=spec.get("rel_tol", 0.0),
             direction=spec.get("direction", "both"),
-            kind=spec.get("kind", "metric"),
         ))
     return bands
 
@@ -324,19 +231,8 @@ def run_gate(record: dict, baseline: dict,
         return None
     if bands is None:
         bands = list(extra_bands(baseline)) + list(DEFAULT_BANDS)
-    # Perf numbers are only comparable from the same host *and* the same
-    # switch settings: a cold disk-cache leg legitimately pays write
-    # overhead a memory-only baseline never saw, and that must park the
-    # perf bands, not fail the gate.
-    armed = (
-        host_fingerprint(record.get("manifest"))
-        == host_fingerprint(base_record.get("manifest"))
-        and record.get("switches") == base_record.get("switches")
-    )
-    checks = check_bands(
-        gate_metrics(record), gate_metrics(base_record),
-        bands=bands, perf_armed=armed,
-    )
+    checks = check_bands(record_metrics(record), record_metrics(base_record),
+                         bands=bands)
     return GateResult(key=record["key"], checks=checks)
 
 

@@ -1,26 +1,26 @@
 """The run ledger: the system's longitudinal memory.
 
-Every study-shaped run — ``repro run``, ``repro chaos``, each benchmark's
-``benchlib.write_bench_json`` — appends one JSON record to an append-only
-JSONL **ledger**.  A record captures everything needed to compare the run
-against any other run of the same scenario:
+Every study-shaped run (``repro run``, ``repro chaos``) can append one
+JSON record to an append-only JSONL **ledger**.  A record captures
+everything needed to compare the run against any other run of the same
+scenario:
 
 * the full run manifest (config digest, git SHA, seed/window/scale, host);
 * the run switches (crawl stride, cache/disk-cache, fault profile) —
   artifacts are byte-identical across the cache switches, so records stay
   comparable and any difference between two same-``key`` records is a
   code change, not a knob;
-* wall time and the PERF registry snapshot (timers + counters);
+* wall time, as provenance for ``repro history`` and ``repro compare``;
 * the **headline metrics** — :meth:`repro.study.StudyResults.headline`:
   PSR/doorway/store counts, Table 1–3 cells keyed by row, the PSR curve
   quantiles, store-lifetime quantiles;
 * disk-store accounting when the persistent cache tier ran.
 
-Records are keyed (``<config digest>/stride<N>`` for studies,
-``bench:<name>`` for benchmarks) so :mod:`repro.obs.gate` can band the
-latest record against a committed baseline, ``repro history`` can render a
-metric's trajectory across commits, and ``repro compare`` can diff any two
-records.
+Records are keyed (``<config digest>/stride<N>``) so
+:mod:`repro.obs.gate` can band the latest record against a committed
+baseline, ``repro history`` can render a metric's trajectory across
+commits, and ``repro compare`` can diff any two records.  Where the time
+went is the span tree's business (``repro trace``), not the ledger's.
 
 Appends go through :func:`repro.util.atomicio.append_line` (single-write
 ``O_APPEND``); the loader tolerates torn or garbled lines anywhere in the
@@ -69,13 +69,22 @@ def flatten(tree: dict, prefix: str = "") -> Dict[str, float]:
 def record_metrics(record: dict) -> Dict[str, float]:
     """One record's deterministic, gate-visible metrics, flattened.
 
-    The headline tree plus the disk-store health block; wall times and
-    PERF timers are *not* here — they are timing, handled separately by
-    the gate's perf bands."""
+    The headline tree plus the disk-store health block; wall time is
+    provenance, not a gated metric."""
     tree = dict(record.get("headline") or {})
     if record.get("disk_store"):
         tree["disk_store"] = record["disk_store"]
     return flatten(tree)
+
+
+def shown_metrics(record: dict) -> Dict[str, float]:
+    """:func:`record_metrics` plus the run's ``wall_s``: what ``repro
+    history`` and ``repro compare`` show, though the gate bands none of
+    the wall time."""
+    flat = record_metrics(record)
+    if record.get("wall_s") is not None:
+        flat["wall_s"] = record["wall_s"]
+    return flat
 
 
 #: Refs at least this long are run-id prefixes, never indexes.
@@ -208,9 +217,7 @@ class RunLedger:
         (schema evolution must not zero-spike a sparkline)."""
         series: Dict[str, List[float]] = {path: [] for path in paths}
         for record in self.records(kind=kind, key=key):
-            flat = record_metrics(record)
-            if record.get("wall_s") is not None:
-                flat["wall_s"] = record["wall_s"]
+            flat = shown_metrics(record)
             for path in paths:
                 value = flat.get(path)
                 if value is not None:
@@ -243,7 +250,6 @@ def build_study_record(
     """
     from repro.obs.manifest import run_manifest
     from repro.perf.cache import caches_enabled, disk_cache, disk_cache_path
-    from repro.util.perf import PERF
 
     extra = {}
     if preset is not None:
@@ -262,7 +268,6 @@ def build_study_record(
         },
         "wall_s": round(wall_s, 6),
         "headline": results.headline(),
-        "perf": PERF.report(),
     }
     disk = disk_cache()
     if disk is not None:
@@ -276,15 +281,3 @@ def build_study_record(
         }
     return record
 
-
-def build_bench_record(name: str, metrics: Dict[str, float],
-                       manifest: Optional[dict] = None) -> dict:
-    """One ledger record for a benchmark's curated headline metrics."""
-    from repro.obs.manifest import run_manifest
-
-    return {
-        "kind": f"bench:{name}",
-        "key": f"bench:{name}",
-        "manifest": manifest if manifest is not None else run_manifest(),
-        "headline": dict(sorted(metrics.items())),
-    }

@@ -1,13 +1,16 @@
-"""Run provenance: the manifest embedded in every emitted artifact.
+"""Run provenance: the manifest that says what ran, where and when.
 
-Benchmark trajectories (``BENCH_*.json``), PSR dumps, and ablation
-outputs are only comparable across runs when each one records *what ran*:
-which scenario (seed, window, census sizes — collapsed into a stable
-config digest), which code (package version, git SHA), on what host (CPU
-count, platform, Python), and under which switches (caches, tracing).
-:func:`run_manifest` builds that block; the BENCH writers
-(``benchmarks/benchlib.py``, :func:`repro.lint.reporting.write_summary`)
-and the CLI's artifact writers embed it.
+Two runs are only comparable when each records *what ran*: which scenario
+(seed, window, census sizes — collapsed into a stable config digest),
+which code (package version, git SHA), on what host (CPU count, platform,
+Python), and under which switches (caches, tracing).  :func:`run_manifest`
+builds that block.  It goes into ``manifest.json`` next to the artifacts
+of ``repro run --trace`` and ``repro chaos``, into a traced run's
+``trace.json``, into every run-ledger record, into ``repro ablations
+--json`` and into the lint summary
+(:func:`repro.lint.reporting.write_summary`).  It never goes into a data
+file: ``psrs.jsonl`` and ``metrics.jsonl`` hold the same bytes for the
+same seed.
 
 This module is the one sanctioned wall-clock reader in the tree
 (``created_at`` timestamps provenance, never simulation state) — the D003

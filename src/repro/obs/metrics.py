@@ -10,24 +10,21 @@ the day) and samples once per simulated day:
 * intervention state — labeled and penalized hosts in the engine;
 * hot-path health — SERPs served and content-addressed cache hit rate.
 
-The samples split into two files with different determinism contracts:
-
-* ``metrics.jsonl`` (:data:`METRICS_COLUMNS`) — **deterministic**: every
-  column derives from simulation state or exact counter deltas, so a
-  fresh process writes the same bytes for a seed.  ``cache_hit_rate``
-  counts the live caches' lookups, so it also reflects how warm they
-  were: a resumed run, or a second run in one process, starts warmer or
-  colder than a fresh uninterrupted one.
-* ``telemetry.jsonl`` (:data:`TELEMETRY_COLUMNS`) — **timing/host
-  gauges**: mean SERP serve µs and disk-tier hit rate.  These
-  legitimately vary run to run and live in a sidecar so they can never
-  contaminate the deterministic artifact.
+Every column (:data:`METRICS_COLUMNS`) derives from simulation state or
+exact counter deltas, so a fresh process writes the same
+``metrics.jsonl`` bytes for a seed.  ``cache_hit_rate`` counts the live
+caches' lookups, so it also reflects how warm they were: a resumed run,
+or a second run in one process, starts warmer or colder than a fresh
+uninterrupted one.  Per-day timing lives in ``trace.json``, whose
+``day`` events carry the ``engine.serp`` calls and milliseconds and the
+disk-tier counter deltas.
 
 Storage is columnar (one list per column) so sampling is O(counters) per
 day and a column feeds :func:`repro.reporting.sparkline.sparkline_row`
-directly.  Both writers emit one JSON row per simulated day with an
-optional leading provenance row carrying the run manifest (consumers
-skip rows whose ``_type`` is not ``sample``; :meth:`load_jsonl` does).
+directly.  :meth:`MetricsRecorder.write_jsonl` emits one JSON row per
+simulated day and nothing else: run provenance goes to ``manifest.json``.
+:meth:`MetricsRecorder.load_jsonl` still returns the leading manifest row
+that files written by earlier versions carry.
 
 Recording reads simulation state and never writes it: studies run with a
 recorder attached produce byte-identical outputs (``tests/test_obs.py``).
@@ -43,8 +40,7 @@ from repro.util.atomicio import atomic_write
 from repro.util.perf import PERF
 
 #: Column order of one metrics row (the JSONL schema, golden-tested).
-#: Every column is deterministic for a seed — timing gauges live in
-#: :data:`TELEMETRY_COLUMNS` instead.
+#: Every column is deterministic for a seed.
 METRICS_COLUMNS: Tuple[str, ...] = (
     "day",              # ISO sim-date
     "day_index",        # 0-based offset in the study window
@@ -62,17 +58,6 @@ METRICS_COLUMNS: Tuple[str, ...] = (
     "faults_degraded",  # records dropped/deferred because inputs were damaged
 )
 
-#: Column order of one telemetry row: wall-clock and host-dependent
-#: gauges, segregated so ``metrics.jsonl`` stays byte-identical across
-#: reruns.
-TELEMETRY_COLUMNS: Tuple[str, ...] = (
-    "day",              # ISO sim-date
-    "day_index",        # 0-based offset in the study window
-    "serp_serve_us",    # mean engine.serp µs this day
-    "disk_hit_rate",    # disk-tier hits/(hits+misses) this day
-)
-
-
 class MetricsRecorder:
     """Simulator observer sampling the per-day study time series."""
 
@@ -81,9 +66,6 @@ class MetricsRecorder:
         #: recorder without one still tracks engine/cache/serve columns).
         self.crawler = crawler
         self.columns: Dict[str, List] = {name: [] for name in METRICS_COLUMNS}
-        #: Telemetry sidecar columns (timing/host gauges).
-        self.telemetry: Dict[str, List] = {
-            name: [] for name in TELEMETRY_COLUMNS}
         self._day_index = 0
         self._records_seen = 0
         self._store_hosts: set = set()
@@ -92,7 +74,6 @@ class MetricsRecorder:
         self._serp_base = self._serp_totals()
         self._cache_base = self._cache_totals()
         self._fault_base = self._fault_totals()
-        self._disk_base = self._disk_totals()
 
     def rebase(self) -> None:
         """Re-anchor PERF-delta baselines to the *current* registry totals.
@@ -105,7 +86,6 @@ class MetricsRecorder:
         self._serp_base = self._serp_totals()
         self._cache_base = self._cache_totals()
         self._fault_base = self._fault_totals()
-        self._disk_base = self._disk_totals()
 
     # ------------------------------------------------------------------ #
     # Observer interface
@@ -113,12 +93,10 @@ class MetricsRecorder:
 
     def on_day(self, world, context) -> None:
         day = context.day
-        serp_calls, serp_s = self._serp_delta()
+        serp_calls = self._serp_delta()
         hits, misses = self._cache_delta()
         looked_up = hits + misses
         injected, retried, degraded = self._fault_delta()
-        disk_hits, disk_misses = self._disk_delta()
-        disk_looked_up = disk_hits + disk_misses
 
         psrs_today = 0
         active_doorways = 0
@@ -156,27 +134,18 @@ class MetricsRecorder:
         }
         for name in METRICS_COLUMNS:
             self.columns[name].append(row[name])
-        gauges = {
-            "day": day.isoformat(),
-            "day_index": self._day_index,
-            "serp_serve_us": (serp_s / serp_calls * 1e6) if serp_calls else 0.0,
-            "disk_hit_rate": (
-                disk_hits / disk_looked_up) if disk_looked_up else 0.0,
-        }
-        for name in TELEMETRY_COLUMNS:
-            self.telemetry[name].append(gauges[name])
         self._day_index += 1
 
     @staticmethod
-    def _serp_totals() -> Tuple[int, float]:
+    def _serp_totals() -> int:
         stat = PERF.timers().get("engine.serp")
-        return (stat.calls, stat.total) if stat is not None else (0, 0.0)
+        return stat.calls if stat is not None else 0
 
-    def _serp_delta(self) -> Tuple[int, float]:
-        calls, total = self._serp_totals()
-        calls0, total0 = self._serp_base
-        self._serp_base = (calls, total)
-        return calls - calls0, total - total0
+    def _serp_delta(self) -> int:
+        calls = self._serp_totals()
+        calls0 = self._serp_base
+        self._serp_base = calls
+        return calls - calls0
 
     @staticmethod
     def _cache_totals() -> Tuple[int, int]:
@@ -195,25 +164,6 @@ class MetricsRecorder:
         hits, misses = self._cache_totals()
         hits0, misses0 = self._cache_base
         self._cache_base = (hits, misses)
-        return hits - hits0, misses - misses0
-
-    @staticmethod
-    def _disk_totals() -> Tuple[int, int]:
-        hits = 0
-        misses = 0
-        for name, value in PERF.counters().items():
-            if not name.startswith("cache."):
-                continue
-            if name.endswith(".disk_hit"):
-                hits += value
-            elif name.endswith(".disk_miss"):
-                misses += value
-        return hits, misses
-
-    def _disk_delta(self) -> Tuple[int, int]:
-        hits, misses = self._disk_totals()
-        hits0, misses0 = self._disk_base
-        self._disk_base = (hits, misses)
         return hits - hits0, misses - misses0
 
     @staticmethod
@@ -244,11 +194,8 @@ class MetricsRecorder:
         return len(self.columns["day"])
 
     def series(self, name: str) -> List:
-        """One column as a list (sparkline-ready); telemetry names work
-        too — the column sets are disjoint apart from the day keys."""
-        if name in self.columns:
-            return list(self.columns[name])
-        return list(self.telemetry[name])
+        """One column as a list (sparkline-ready)."""
+        return list(self.columns[name])
 
     def rows(self) -> List[dict]:
         return [
@@ -256,37 +203,18 @@ class MetricsRecorder:
             for i in range(len(self))
         ]
 
-    def telemetry_rows(self) -> List[dict]:
-        return [
-            {name: self.telemetry[name][i] for name in TELEMETRY_COLUMNS}
-            for i in range(len(self.telemetry["day"]))
-        ]
-
-    def write_jsonl(self, path: str, manifest: Optional[dict] = None) -> None:
-        """One JSON row per simulated day; optional manifest header row."""
-        self._write_rows(path, self.rows(), manifest)
-
-    def write_telemetry_jsonl(self, path: str,
-                              manifest: Optional[dict] = None) -> None:
-        """The timing-gauge sidecar (``telemetry.jsonl``)."""
-        self._write_rows(path, self.telemetry_rows(), manifest)
-
-    @staticmethod
-    def _write_rows(path: str, rows: List[dict],
-                    manifest: Optional[dict]) -> None:
+    def write_jsonl(self, path: str) -> None:
+        """One JSON row per simulated day."""
         with atomic_write(path) as handle:
-            if manifest is not None:
-                handle.write(json.dumps(
-                    {"_type": "manifest", **manifest}, sort_keys=True))
-                handle.write("\n")
-            for row in rows:
+            for row in self.rows():
                 handle.write(json.dumps({"_type": "sample", **row},
                                         sort_keys=True))
                 handle.write("\n")
 
     @staticmethod
     def load_jsonl(path: str) -> Tuple[Optional[dict], List[dict]]:
-        """(manifest or None, sample rows) from a metrics/telemetry file."""
+        """(manifest or None, sample rows) from a ``metrics.jsonl``; only
+        files written by earlier versions lead with a manifest row."""
         manifest: Optional[dict] = None
         rows: List[dict] = []
         with open(path) as handle:
@@ -327,23 +255,6 @@ class MetricsRecorder:
             ))
         lines.append(sparkline_row(
             "cache_hit_rate", [float(v) for v in self.columns["cache_hit_rate"]],
-            width=width, as_percent=True,
-        ))
-        return "\n".join(lines)
-
-    def render_telemetry_sparklines(self, width: int = 60) -> str:
-        """The timing and disk gauges as terminal sparklines."""
-        from repro.reporting.sparkline import sparkline_row
-
-        days = len(self.telemetry["day"])
-        lines = [f"Per-sim-day telemetry ({days} days)"]
-        lines.append(sparkline_row(
-            "serp_serve_us", [float(v) for v in self.telemetry["serp_serve_us"]],
-            width=width, as_percent=False,
-        ))
-        lines.append(sparkline_row(
-            "disk_hit_rate",
-            [float(v) for v in self.telemetry["disk_hit_rate"]],
             width=width, as_percent=True,
         ))
         return "\n".join(lines)

@@ -10,9 +10,10 @@ records:
   registry uses; never the host calendar clock);
 * its tags (``sim_day``, variant names, ...);
 * the **PERF counter and timer deltas** that accrued inside it, so the
-  flat always-on registry gains phase structure: the trace tree shows
-  *where inside* ``simulator.day`` the ``engine.serp`` / ``web.fetch`` /
+  always-on registry gains phase structure: the trace tree shows *where
+  inside* a ``day`` the ``engine.serp`` / ``web.fetch`` /
   ``crawler.dagger`` time goes without adding per-call instrumentation.
+  This tree is the one timer report; the registry prints nothing itself.
 
 Tracing is **off by default**.  Disabled, :meth:`Tracer.span` returns a
 shared ``nullcontext`` — no allocation, no clock read — so the hooks wired

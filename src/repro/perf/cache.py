@@ -28,13 +28,14 @@ Layers built on this module:
   from :class:`LRUCache`.
 
 Every cache reports ``cache.<name>.hit`` / ``.miss`` / ``.evict`` counters
-into the :data:`repro.util.perf.PERF` registry, so ``python -m repro perf``
-and ``BENCH_study.json`` carry hit rates alongside the timers.
+into the :data:`repro.util.perf.PERF` registry, so ``repro trace
+--counters`` shows each span's hits and misses, ``metrics.jsonl`` a daily
+hit rate, and perfbench each cache's hit ratio.
 
 The whole layer can be switched off — :func:`set_caches_enabled`,
 the :func:`caches_disabled` context manager, or ``REPRO_CACHE=0`` in the
-environment — which is how the benchmarks measure cached vs. uncached runs
-and how the correctness tests prove the two are bit-identical.
+environment — which is how the correctness tests prove cached and
+uncached runs bit-identical.
 
 Underneath the in-process LRUs sits an optional *persistent* tier
 (:mod:`repro.perf.diskcache`), keyed on the same content digests, so a

@@ -3,7 +3,7 @@ record-vs-record diffs.
 
 The gate's deterministic *verdict* is rendered by
 :meth:`repro.obs.gate.GateResult.verdict_lines`; everything here is the
-human-facing *report* — full per-check values (perf included), each gated
+human-facing *report* — full per-check values and deltas, each gated
 metric's trajectory across the ledger, and side-by-side record diffs for
 ``repro compare``.
 """
@@ -25,8 +25,7 @@ def _fmt(value: Optional[float]) -> str:
 
 
 def render_drift_table(checks: Sequence, title: str = "Drift report") -> str:
-    """Every band check as a table row, values included (perf too —
-    this is the report, not the deterministic verdict)."""
+    """Every band check as a table row, deltas included."""
     rows: List[List[str]] = []
     for check in checks:
         span = ("±" if check.band.direction == "both"
@@ -38,11 +37,9 @@ def render_drift_table(checks: Sequence, title: str = "Drift report") -> str:
             _fmt(check.current),
             _fmt(check.delta),
             f"{span}{check.allowed:g}",
-            check.band.kind,
         ])
     return render_table(
-        ["Status", "Metric", "Baseline", "Current", "Delta", "Allowed",
-         "Kind"],
+        ["Status", "Metric", "Baseline", "Current", "Delta", "Allowed"],
         rows, title=title,
     )
 

@@ -1,12 +1,14 @@
 """Crash-safe artifact writes: write-temp-then-atomic-rename.
 
 Every artifact the pipeline emits (``psrs.jsonl``, ``metrics.jsonl``,
-``trace.json``, ``BENCH_*.json``, checkpoints) goes through
+``trace.json``, ``manifest.json``, the tables, checkpoints) goes through
 :func:`atomic_write`: content lands in a temporary file in the *same
 directory* (same filesystem, so the rename is atomic), is flushed and
 fsynced, and only then replaces the destination via :func:`os.replace`.
 A process killed mid-write leaves either the previous complete file or
-no file — never a torn artifact.
+no file — never a torn artifact.  The temporary file is created with mode
+0o666 under the process umask, as :func:`open` creates a file, so the
+artifact gets the permissions a plain write would give it.
 
     with atomic_write(path) as handle:
         handle.write(...)
@@ -32,7 +34,7 @@ newline before its record when the file does not end with one.
 from __future__ import annotations
 
 import os
-import tempfile
+import secrets
 from contextlib import contextmanager
 from typing import IO, Iterator
 
@@ -48,10 +50,10 @@ def atomic_write(path: str, mode: str = "w", encoding: str = "utf-8", *,
     """
     if "w" not in mode:
         raise ValueError(f"atomic_write needs a write mode, got {mode!r}")
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
-    )
+    tmp_path = f"{os.path.abspath(path)}.{secrets.token_hex(8)}.tmp"
+    # Not tempfile.mkstemp: it always creates mode 0600, and the rename
+    # would keep that mode whatever the umask.
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     binary = "b" in mode
     handle = os.fdopen(fd, mode, encoding=None if binary else encoding)
     try:

@@ -9,8 +9,7 @@ ranks, URLs and labels, and bit-exact scores (``NoiseSource.for_serp``
 delivers the batch stream one scalar draw at a time).
 
 ``tests/test_serp_reference.py`` holds the columnar engine to it through a
-sequence of index and intervention changes; the SERP microbenchmark
-(``benchmarks/test_perf_serp.py``) times the two against each other.
+sequence of index and intervention changes.
 """
 
 from __future__ import annotations

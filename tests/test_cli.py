@@ -69,7 +69,7 @@ class TestTraceCommands:
         from repro.obs.metrics import MetricsRecorder
 
         manifest, rows = MetricsRecorder.load_jsonl(metrics_path)
-        assert manifest is not None
+        assert manifest is None  # provenance rides in trace.json only
         assert rows
 
     def test_run_trace_writes_trace_artifacts(self, tmp_path,
@@ -79,20 +79,32 @@ class TestTraceCommands:
                      "--trace", "--out", out])
         assert code == 0
         for name in ("trace.json", "manifest.json", "metrics.jsonl",
-                     "telemetry.jsonl", "psrs.jsonl"):
+                     "psrs.jsonl"):
             assert os.path.getsize(os.path.join(out, name)) > 0, name
         with open(os.path.join(out, "manifest.json")) as handle:
             manifest = json.load(handle)
         assert manifest["trace_enabled"] is True
         assert "digest" in manifest["config"]
-        from repro.obs.metrics import TELEMETRY_COLUMNS, MetricsRecorder
 
-        _, rows = MetricsRecorder.load_jsonl(
-            os.path.join(out, "telemetry.jsonl"))
-        assert rows
-        # Serialized rows are sort_keys=True; the column *set* is the
-        # schema contract here (order is pinned on the in-memory rows).
-        assert all(set(row) == set(TELEMETRY_COLUMNS) for row in rows)
+    def test_traced_data_files_carry_no_provenance(self, tmp_path,
+                                                   tracing_off_after):
+        # Provenance goes to manifest.json and trace.json only, so a
+        # traced run's data files equal an untraced run's byte for byte.
+        traced = str(tmp_path / "traced")
+        plain = str(tmp_path / "plain")
+        assert main(["run", "--preset", "small", "--trace",
+                     "--out", traced]) == 0
+        set_tracing_enabled(False)
+        assert main(["run", "--preset", "small", "--out", plain]) == 0
+        with open(os.path.join(traced, "psrs.jsonl"), "rb") as handle:
+            traced_psrs = handle.read()
+        with open(os.path.join(plain, "psrs.jsonl"), "rb") as handle:
+            assert handle.read() == traced_psrs
+        assert not os.path.exists(os.path.join(traced, "telemetry.jsonl"))
+        for name in ("psrs.jsonl", "metrics.jsonl"):
+            with open(os.path.join(traced, name)) as handle:
+                for line in handle:
+                    assert json.loads(line).get("_type") != "manifest", name
 
     def test_run_appends_ledger_record(self, tmp_path, capsys):
         out = str(tmp_path / "study")

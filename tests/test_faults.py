@@ -288,6 +288,20 @@ class TestAtomicWrite(unittest.TestCase):
                     raise RuntimeError("crash mid-write")
             self.assertEqual(Path(path).read_text(), "old")
 
+    def test_mode_follows_the_umask(self):
+        """The artifact gets the mode a plain ``open()`` gives it."""
+        for umask, expected in ((0o022, 0o644), (0o077, 0o600)):
+            with self.subTest(umask=oct(umask)), \
+                    tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "out.txt")
+                previous = os.umask(umask)
+                try:
+                    with atomic_write(path) as handle:
+                        handle.write("payload")
+                finally:
+                    os.umask(previous)
+                self.assertEqual(os.stat(path).st_mode & 0o777, expected)
+
 
 class TestTornTailTolerance(unittest.TestCase):
     def _dataset_file(self, tmp):

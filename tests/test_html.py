@@ -454,7 +454,15 @@ _builder_text = st.lists(
     ),
     max_size=8,
 ).map("".join)
-_attr_name = st.from_regex(r"[a-z_:][-a-z0-9_:.]{0,6}", fullmatch=True)
+# The language of r"[a-z_:][-a-z0-9_:.]{0,6}", drawn without the regex
+# engine: st.from_regex spends ~2 s on its first draw while Hypothesis
+# builds its unicode tables, which trips the too_slow health check in a
+# tree without a .hypothesis/ directory.
+_attr_name = st.builds(
+    str.__add__,
+    st.sampled_from("abcdefghijklmnopqrstuvwxyz_:"),
+    st.text(alphabet="-abcdefghijklmnopqrstuvwxyz0123456789_:.", max_size=6),
+)
 
 
 @st.composite

@@ -5,7 +5,8 @@ Covers the four pillars the layer promises:
 * span-tree determinism — two traced runs of the same seed produce the
   same structure (names, tags, nesting), timings aside;
 * the ``metrics.jsonl`` schema — one row per simulated day, the golden
-  column set, write/load round-trip with a manifest header;
+  column set, write/load round-trip (no manifest row is written; one
+  left by an earlier version still loads);
 * run-manifest round-trip — config digest stability and sensitivity;
 * non-interference — a traced study's PSR dump is byte-identical to an
   untraced one (tracing reads simulation state, never writes it).
@@ -18,11 +19,7 @@ import pytest
 from repro.crawler.records import PsrDataset
 from repro.ecosystem import small_preset
 from repro.obs.manifest import config_digest, run_manifest
-from repro.obs.metrics import (
-    METRICS_COLUMNS,
-    TELEMETRY_COLUMNS,
-    MetricsRecorder,
-)
+from repro.obs.metrics import METRICS_COLUMNS, MetricsRecorder
 from repro.obs.trace import TRACER, Span, set_tracing_enabled
 from repro.study import StudyRun
 
@@ -154,34 +151,24 @@ class TestMetricsSchema:
         assert rows[-1]["psrs_total"] > 0
         assert any(row["serps_served"] > 0 for row in rows)
         assert any(row["cache_hit_rate"] > 0 for row in rows)
-        # Timing gauges live in the telemetry sidecar, never here.
+        # Timing never goes here: the rows are deterministic.
         assert "serp_serve_us" not in METRICS_COLUMNS
-
-    def test_telemetry_sidecar_rows(self, traced_run):
-        results, _ = traced_run
-        rows = results.metrics.telemetry_rows()
-        assert len(rows) == DAYS
-        for row in rows:
-            assert tuple(row) == TELEMETRY_COLUMNS
-        # The serve-µs gauge carries signal on crawl days.
-        assert any(row["serp_serve_us"] > 0 for row in rows)
 
     def test_write_load_round_trip_with_manifest(self, traced_run, tmp_path):
         results, _ = traced_run
-        path = str(tmp_path / "metrics.jsonl")
+        path = tmp_path / "metrics.jsonl"
+        results.metrics.write_jsonl(str(path))
+        loaded_manifest, rows = MetricsRecorder.load_jsonl(str(path))
+        assert loaded_manifest is None  # provenance lives in manifest.json
+        assert rows == results.metrics.rows()
+        # Files written by earlier versions lead with a manifest row.
         manifest = run_manifest(small_preset(days=DAYS))
-        results.metrics.write_jsonl(path, manifest=manifest)
-        loaded_manifest, rows = MetricsRecorder.load_jsonl(path)
+        header = json.dumps({"_type": "manifest", **manifest}, sort_keys=True)
+        path.write_text(header + "\n" + path.read_text())
+        loaded_manifest, rows = MetricsRecorder.load_jsonl(str(path))
         assert loaded_manifest["config"]["digest"] == \
             manifest["config"]["digest"]
         assert rows == results.metrics.rows()
-
-    def test_telemetry_round_trip(self, traced_run, tmp_path):
-        results, _ = traced_run
-        path = str(tmp_path / "telemetry.jsonl")
-        results.metrics.write_telemetry_jsonl(path)
-        _, rows = MetricsRecorder.load_jsonl(path)
-        assert rows == results.metrics.telemetry_rows()
 
     def test_sparkline_rendering(self, traced_run):
         results, _ = traced_run
@@ -189,9 +176,6 @@ class TestMetricsSchema:
         assert "psrs" in text
         assert "cache_hit_rate" in text
         assert "serp_serve_us" not in text
-        telemetry = results.metrics.render_telemetry_sparklines()
-        assert "serp_serve_us" in telemetry
-        assert "disk_hit_rate" in telemetry
 
 
 class TestManifest:
@@ -231,13 +215,15 @@ class TestNonInterference:
 
     def test_manifest_header_skipped_by_psr_loader(self, tmp_path,
                                                    traced_run):
+        # Files written before provenance moved to manifest.json lead with
+        # a manifest row; the loader still skips it.
         results, _ = traced_run
         plain = tmp_path / "plain.jsonl"
         headed = tmp_path / "headed.jsonl"
         results.dataset.dump_jsonl(str(plain))
-        results.dataset.dump_jsonl(str(headed), manifest=run_manifest())
-        assert headed.read_text().splitlines()[0].startswith(
-            '{"_type": "manifest"')
+        header = json.dumps({"_type": "manifest", **run_manifest()},
+                            sort_keys=True)
+        headed.write_text(header + "\n" + plain.read_text())
         loaded_plain = PsrDataset.load_jsonl(str(plain))
         loaded_headed = PsrDataset.load_jsonl(str(headed))
         assert len(loaded_plain) == len(loaded_headed) == len(results.dataset)
