@@ -39,7 +39,7 @@ def _normalize_value(attr: str, value: str) -> str:
 
 #: Feature Counters cached by content hash: attribution re-extracts the
 #: same archived store/doorway pages every refinement round.
-_FEATURE_CACHE = LRUCache("features", maxsize=32768, persistent=True)
+_FEATURE_CACHE = LRUCache("features", maxsize=32768)
 
 
 def extract_features(html: str) -> Counter:

@@ -14,9 +14,6 @@ Commands:
 * ``chaos`` — run the same scenario clean and under a named fault profile
   (:mod:`repro.faults`), report injected/retried/degraded counters, and
   assert the resilience invariants (determinism, headline tolerance);
-* ``cache`` — inspect, validate, or clear the persistent disk cache tier
-  (:mod:`repro.perf.diskcache`) that ``--disk-cache DIR`` /
-  ``REPRO_DISK_CACHE`` point study runs at;
 * ``gate`` — compare the latest run-ledger record against the committed
   baseline (``baselines/gate.json``) with per-table tolerance bands
   (:mod:`repro.obs.gate`); exit 1 on drift, 2 on missing inputs;
@@ -29,6 +26,10 @@ Commands:
 ``run`` and ``chaos`` append one record per completed run to the ledger
 named by ``--ledger`` / ``REPRO_LEDGER`` (no ledger → no append), which
 is what ``gate``/``history``/``compare`` read.
+
+``run``, ``trace`` and ``chaos`` take ``--disk-cache DIR``, the
+persistent cache tier (:mod:`repro.perf.diskcache`) that lets a later
+run warm-start; ``rm -r DIR`` clears it.
 
 ``run`` also carries the crash-safety knobs: ``--checkpoint`` persists
 per-sim-day state, ``--resume`` continues a killed run from it, and
@@ -73,7 +74,6 @@ from repro.obs.ledger import (
 from repro.obs.manifest import run_manifest
 from repro.obs.trace import TRACER, set_tracing_enabled
 from repro.perf.cache import set_caches_enabled, set_disk_cache
-from repro.perf.diskcache import DiskCache
 from repro.reporting import (
     render_drift_table,
     render_history,
@@ -100,10 +100,7 @@ def _add_study_args(parser: argparse.ArgumentParser) -> None:
                              "(bit-identical, slower)")
     parser.add_argument("--disk-cache", default=None, metavar="DIR",
                         help="persist cache entries under DIR so later runs "
-                             "warm-start (bit-identical; also honours the "
-                             "REPRO_DISK_CACHE environment variable)")
-    parser.add_argument("--no-disk-cache", action="store_true",
-                        help="ignore REPRO_DISK_CACHE and run memory-only")
+                             "warm-start (bit-identical)")
 
 
 def _add_ledger_args(parser: argparse.ArgumentParser,
@@ -248,19 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("ref_b", help="record: index or run-id prefix, "
                                        "read as for ref_a")
 
-    cache = sub.add_parser(
-        "cache", help="inspect, validate, or clear the persistent disk cache"
-    )
-    cache.add_argument("--dir", default=None, metavar="DIR",
-                       help="cache directory (default: $REPRO_DISK_CACHE)")
-    cache.add_argument("--validate", action="store_true",
-                       help="digest-check every entry; quarantine failures "
-                            "(exit 1 when any entry was bad)")
-    cache.add_argument("--clear", action="store_true",
-                       help="remove every cached entry and the quarantine")
-    cache.add_argument("--json", action="store_true",
-                       help="print machine-readable stats")
-
     lint = sub.add_parser(
         "lint", help="run the determinism/concurrency static analyzer"
     )
@@ -278,10 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_disk_args(args) -> None:
-    """Resolve the persistent-tier knobs before any cache is touched."""
-    if getattr(args, "no_disk_cache", False):
-        set_disk_cache(None)
-    elif getattr(args, "disk_cache", None):
+    """Open the persistent tier before any cache is touched."""
+    if args.disk_cache:
         set_disk_cache(args.disk_cache)
 
 
@@ -769,55 +751,6 @@ def command_compare(args) -> int:
     return 0
 
 
-def command_cache(args) -> int:
-    """Stats / integrity check / clear for the persistent disk tier."""
-    path = args.dir or os.environ.get("REPRO_DISK_CACHE")
-    if not path:
-        print("repro cache: no cache directory "
-              "(pass --dir or set REPRO_DISK_CACHE)", file=sys.stderr)
-        return 2
-    if not os.path.isdir(path) and not args.clear:
-        print(f"repro cache: {path}: no such directory", file=sys.stderr)
-        return 2
-    disk = DiskCache(path)
-    if args.clear:
-        removed = disk.clear()
-        print(f"cleared {removed} entr{'y' if removed == 1 else 'ies'} "
-              f"from {path}")
-        return 0
-    validation = None
-    if args.validate:
-        validation = disk.validate()
-    stats = disk.stats()
-    if args.json:
-        payload = dict(stats)
-        if validation is not None:
-            payload["validation"] = validation
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        rows = [
-            [name, c["entries"], f"{c['bytes'] / 1024:.0f} KiB",
-             c["hits"], c["misses"],
-             "-" if c["hit_rate"] is None else f"{c['hit_rate']:.0%}"]
-            for name, c in sorted(stats["caches"].items())
-        ]
-        print(render_table(
-            ["Cache", "Entries", "Size", "Hits", "Misses", "Hit rate"],
-            rows, title=f"Disk cache at {stats['path']}",
-        ))
-        print(f"\ntotal: {stats['entries']} entries, "
-              f"{stats['total_bytes'] / 1024 / 1024:.1f} MiB "
-              f"(cap {stats['max_bytes'] / 1024 / 1024 / 1024:.1f} GiB), "
-              f"{stats['quarantined']} quarantined")
-        if validation is not None:
-            print(f"validate: {validation['checked']} checked, "
-                  f"{validation['ok']} ok, "
-                  f"{validation['quarantined']} quarantined")
-    if validation is not None and validation["quarantined"]:
-        return 1
-    return 0
-
-
 def command_lint(args) -> int:
     selected = args.select.split(",") if args.select else None
     try:
@@ -859,8 +792,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return command_history(args)
     if args.command == "compare":
         return command_compare(args)
-    if args.command == "cache":
-        return command_cache(args)
     if args.command == "lint":
         return command_lint(args)
     return 2

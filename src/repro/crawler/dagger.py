@@ -33,7 +33,7 @@ _TOKEN_RE = re.compile(r"[a-z0-9]{2,}")
 #: Shingle sets are tiny (a few hundred interned tokens), so the cache can
 #: run deep; the measurement crawler re-shingles known-cloaked landing
 #: pages on every visit otherwise.
-_SHINGLE_CACHE = LRUCache("shingle", maxsize=32768, persistent=True)
+_SHINGLE_CACHE = LRUCache("shingle", maxsize=32768)
 
 
 def _build_shingle(html: str) -> FrozenSet[str]:

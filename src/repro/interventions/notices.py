@@ -52,7 +52,7 @@ def build_notice_page(info: NoticeInfo) -> str:
 
 #: Both outcomes cache: every crawled landing page gets a notice check, so
 #: the (far more common) ``None`` verdicts are worth remembering too.
-_NOTICE_CACHE = LRUCache("notice", maxsize=16384, persistent=True)
+_NOTICE_CACHE = LRUCache("notice", maxsize=16384)
 
 
 def parse_notice_page(html: str) -> Optional[NoticeInfo]:

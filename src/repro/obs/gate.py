@@ -14,13 +14,12 @@ cold or warm disk cache (an acceptance invariant pinned in CI).  Timing
 is not gated here; perfbench measures it.
 
 Checks are derived from the **baseline's** paths: a metric the baseline
-never recorded (say ``disk_store.*`` from a run without ``--disk-cache``)
-is simply not gated, so optional subsystems can't flip the verdict; a
-banded baseline path the current record lost is a hard ``missing`` drift.
+never recorded is simply not gated, so a newly added metric can't flip
+the verdict; a banded baseline path the current record lost is a hard
+``missing`` drift.
 
-The tolerance is ``allowed = max(abs_tol, rel_tol * |baseline|)``; a
-``direction`` of ``upper``/``lower`` makes the band one-sided (e.g.
-quarantined entries may shrink freely but never grow).
+The tolerance is ``allowed = max(abs_tol, rel_tol * |baseline|)``, on
+either side of the baseline.
 """
 
 from __future__ import annotations
@@ -40,14 +39,11 @@ BASELINE_SCHEMA = 1
 
 @dataclass(frozen=True)
 class Band:
-    """One tolerance band: which paths, how much drift, which direction."""
+    """One tolerance band: which paths, and how much drift either way."""
 
     pattern: str
     abs_tol: float = 0.0
     rel_tol: float = 0.0
-    #: ``both`` | ``upper`` (current may not exceed baseline + tolerance)
-    #: | ``lower`` (current may not fall below baseline - tolerance).
-    direction: str = "both"
 
     def matches(self, path: str) -> bool:
         return fnmatchcase(path, self.pattern)
@@ -74,11 +70,6 @@ DEFAULT_BANDS: Sequence[Band] = (
     # Seized-store lifetime brackets (days).
     Band("lifetimes.*.measured", abs_tol=1),
     Band("lifetimes.*", rel_tol=0.10, abs_tol=2),
-    # Disk-store health: quarantines must never grow; the store may not
-    # blow past its cap headroom.
-    Band("disk_store.quarantined", abs_tol=0, direction="upper"),
-    Band("disk_store.utilization", abs_tol=0.25, direction="upper"),
-    Band("disk_store.entries", rel_tol=0.25, abs_tol=64),
 )
 
 
@@ -126,11 +117,8 @@ def check_bands(
         if value is None:
             check.status = "missing"
         else:
-            delta = value - base
-            allowed = band.allowed(base)
-            over = delta > allowed and band.direction in ("both", "upper")
-            under = -delta > allowed and band.direction in ("both", "lower")
-            check.status = "drift" if (over or under) else "ok"
+            drifted = abs(value - base) > band.allowed(base)
+            check.status = "drift" if drifted else "ok"
         checks.append(check)
     return checks
 
@@ -165,12 +153,10 @@ class GateResult:
                     f"(baseline {check.baseline:g})"
                 )
             else:
-                span = ("" if check.band.direction == "both"
-                        else " " + check.band.direction)
                 lines.append(
                     f"  [{check.status:>7s}] {check.path} "
                     f"{check.baseline:g} -> {check.current:g} "
-                    f"(allowed ±{check.allowed:g}{span})"
+                    f"(allowed ±{check.allowed:g})"
                 )
         return lines
 
@@ -215,7 +201,6 @@ def extra_bands(baseline: dict) -> List[Band]:
             pattern=spec["pattern"],
             abs_tol=spec.get("abs_tol", 0.0),
             rel_tol=spec.get("rel_tol", 0.0),
-            direction=spec.get("direction", "both"),
         ))
     return bands
 

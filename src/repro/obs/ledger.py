@@ -13,8 +13,7 @@ scenario:
 * wall time, as provenance for ``repro history`` and ``repro compare``;
 * the **headline metrics** — :meth:`repro.study.StudyResults.headline`:
   PSR/doorway/store counts, Table 1–3 cells keyed by row, the PSR curve
-  quantiles, store-lifetime quantiles;
-* disk-store accounting when the persistent cache tier ran.
+  quantiles, store-lifetime quantiles.
 
 Records are keyed (``<config digest>/stride<N>``) so
 :mod:`repro.obs.gate` can band the latest record against a committed
@@ -67,14 +66,9 @@ def flatten(tree: dict, prefix: str = "") -> Dict[str, float]:
 
 
 def record_metrics(record: dict) -> Dict[str, float]:
-    """One record's deterministic, gate-visible metrics, flattened.
-
-    The headline tree plus the disk-store health block; wall time is
-    provenance, not a gated metric."""
-    tree = dict(record.get("headline") or {})
-    if record.get("disk_store"):
-        tree["disk_store"] = record["disk_store"]
-    return flatten(tree)
+    """One record's deterministic, gate-visible metrics, flattened: its
+    headline tree.  Wall time is provenance, not a gated metric."""
+    return flatten(record.get("headline") or {})
 
 
 def shown_metrics(record: dict) -> Dict[str, float]:
@@ -249,13 +243,13 @@ def build_study_record(
     directly comparable.
     """
     from repro.obs.manifest import run_manifest
-    from repro.perf.cache import caches_enabled, disk_cache, disk_cache_path
+    from repro.perf.cache import caches_enabled, disk_cache_path
 
     extra = {}
     if preset is not None:
         extra["preset"] = preset
     manifest = run_manifest(config, **extra)
-    record = {
+    return {
         "kind": kind,
         "key": f"{manifest['config']['digest']}/stride{stride}",
         "manifest": manifest,
@@ -269,15 +263,4 @@ def build_study_record(
         "wall_s": round(wall_s, 6),
         "headline": results.headline(),
     }
-    disk = disk_cache()
-    if disk is not None:
-        stats = disk.stats()
-        record["disk_store"] = {
-            "entries": stats["entries"],
-            "total_bytes": stats["total_bytes"],
-            "max_bytes": stats["max_bytes"],
-            "utilization": stats["utilization"],
-            "quarantined": stats["quarantined"],
-        }
-    return record
 

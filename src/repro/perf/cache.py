@@ -39,14 +39,14 @@ uncached runs bit-identical.
 
 Underneath the in-process LRUs sits an optional *persistent* tier
 (:mod:`repro.perf.diskcache`), keyed on the same content digests, so a
-fresh process warm-starts from artifacts a previous run derived.  It is
-enabled per-run (``--disk-cache DIR`` / :func:`set_disk_cache`) or via
-``REPRO_DISK_CACHE=<dir>``; every persistent cache reports
+fresh process warm-starts from values a previous run derived.  It is
+enabled per run with ``--disk-cache DIR`` (:func:`set_disk_cache`).  The
+caches named in :data:`repro.perf.diskcache.PERSISTENT_CACHES` (notice
+verdicts and feature bags) use it, and report
 ``cache.<name>.disk_hit/.disk_miss/.promote/.write`` alongside the
-memory counters.  Only the derived caches persist.  The caches compose:
-each derived value is built from a cached DOM, and a hit on it skips
-that DOM lookup entirely, so a warm run never reaches the DOM cache and
-persisted DOMs would cost every cold run writes that no warm run reads.
+memory counters; the DOM, render and shingle caches are memory-only.
+The caches compose: each derived value is built from a cached DOM, and
+a hit on it, from memory or disk, skips that DOM lookup entirely.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from typing import Any, Callable, Hashable, Iterator, List, Optional
 from repro.html.builder import built_tree
 from repro.html.nodes import Document
 from repro.html.parser import parse_html
-from repro.perf.diskcache import DISK_MISS, DiskCache
+from repro.perf.diskcache import DISK_MISS, PERSISTENT_CACHES, DiskCache
 from repro.util.perf import PERF
 from repro.web.fetch import VisitorProfile
 from repro.web.render import render_document
@@ -69,13 +69,11 @@ from repro.web.render import render_document
 #: equivalence jobs use it); tests and benchmarks toggle programmatically.
 _enabled: bool = os.environ.get("REPRO_CACHE", "1") not in ("0", "false", "no")
 
-#: The persistent tier (:class:`repro.perf.diskcache.DiskCache`), off by
-#: default.  ``REPRO_DISK_CACHE=<dir>`` enables it lazily; ``--disk-cache``
-#: / :func:`set_disk_cache` set it explicitly (and explicit disable beats
-#: the environment).  ``--no-cache`` bypasses it wholesale: the disk tier
-#: only ever runs underneath the memory tier.
+#: The persistent tier (:class:`repro.perf.diskcache.DiskCache`), off
+#: unless :func:`set_disk_cache` names a directory.  ``--no-cache``
+#: bypasses it wholesale: the disk tier only ever runs underneath the
+#: memory tier.
 _DISK: Optional[DiskCache] = None
-_disk_resolved: bool = False
 
 #: Every LRUCache ever constructed, for :func:`reset_caches`.
 _caches: List["LRUCache"] = []
@@ -122,39 +120,24 @@ def reset_caches() -> None:
         cache.clear()
 
 
-def set_disk_cache(path: Optional[str], max_bytes: Optional[int] = None) -> Optional[str]:
+def set_disk_cache(path: Optional[str]) -> Optional[str]:
     """Point the persistent tier at ``path`` (None disables it).
 
-    Returns the previously active directory (or None).  An explicit call
-    — either way — also stops the lazy ``REPRO_DISK_CACHE`` environment
-    lookup, so ``--no-disk-cache`` beats an inherited environment knob.
-    """
-    global _DISK, _disk_resolved
+    Returns the previously active directory (or None)."""
+    global _DISK
     previous = _DISK.path if _DISK is not None else None
-    _disk_resolved = True
-    if path is None:
-        _DISK = None
-        return previous
-    kwargs = {} if max_bytes is None else {"max_bytes": max_bytes}
-    _DISK = DiskCache(path, **kwargs)
+    _DISK = DiskCache(path) if path is not None else None
     return previous
 
 
 def disk_cache() -> Optional[DiskCache]:
-    """The active persistent tier, resolving ``REPRO_DISK_CACHE`` once."""
-    global _DISK, _disk_resolved
-    if not _disk_resolved:
-        _disk_resolved = True
-        path = os.environ.get("REPRO_DISK_CACHE")
-        if path:
-            _DISK = DiskCache(path)
+    """The active persistent tier, or None."""
     return _DISK
 
 
 def disk_cache_path() -> Optional[str]:
     """Directory of the active persistent tier, or None when disabled."""
-    disk = disk_cache()
-    return disk.path if disk is not None else None
+    return _DISK.path if _DISK is not None else None
 
 
 def content_key(html: str) -> bytes:
@@ -173,15 +156,15 @@ class LRUCache:
     __slots__ = ("name", "maxsize", "persistent", "_data", "_hit", "_miss",
                  "_evict", "_disk_hit", "_disk_miss", "_promote", "_write")
 
-    def __init__(self, name: str, maxsize: int, persistent: bool = False):
+    def __init__(self, name: str, maxsize: int):
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
         self.name = name
         self.maxsize = maxsize
         #: Persistent caches consult the disk tier (when one is active) on
-        #: a memory miss — see :mod:`repro.perf.diskcache` for which
-        #: caches qualify and how their entries are invalidated.
-        self.persistent = persistent
+        #: a memory miss; :data:`repro.perf.diskcache.PERSISTENT_CACHES`
+        #: names them and says how their entries are invalidated.
+        self.persistent = name in PERSISTENT_CACHES
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._hit = f"cache.{name}.hit"
         self._miss = f"cache.{name}.miss"
@@ -193,7 +176,7 @@ class LRUCache:
         PERF.count(self._hit, 0)
         PERF.count(self._miss, 0)
         PERF.count(self._evict, 0)
-        if persistent:
+        if self.persistent:
             PERF.count(self._disk_hit, 0)
             PERF.count(self._disk_miss, 0)
             PERF.count(self._promote, 0)
@@ -272,7 +255,7 @@ _DOM_CACHE = LRUCache("dom", maxsize=65536)
 #: Rendered-view cache (parse + mini-JS execution).  Sized like the DOM
 #: cache: every page the rendering crawler revisits between content
 #: rotations should still be resident.
-_RENDER_CACHE = LRUCache("render", maxsize=65536, persistent=True)
+_RENDER_CACHE = LRUCache("render", maxsize=65536)
 
 
 def parse_html_cached(html: str) -> Document:

@@ -28,15 +28,13 @@ def render_drift_table(checks: Sequence, title: str = "Drift report") -> str:
     """Every band check as a table row, deltas included."""
     rows: List[List[str]] = []
     for check in checks:
-        span = ("±" if check.band.direction == "both"
-                else check.band.direction + " ")
         rows.append([
             check.status,
             check.path,
             _fmt(check.baseline),
             _fmt(check.current),
             _fmt(check.delta),
-            f"{span}{check.allowed:g}",
+            f"±{check.allowed:g}",
         ])
     return render_table(
         ["Status", "Metric", "Baseline", "Current", "Delta", "Allowed"],

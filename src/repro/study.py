@@ -40,7 +40,6 @@ from repro.classify.labeling import (
 from repro.classify.pipeline import AttributionResult, CampaignClassifier
 from repro.obs.metrics import MetricsRecorder
 from repro.obs.trace import TRACER
-from repro.perf.cache import disk_cache
 from repro.perf.gctune import low_pause_gc
 
 
@@ -217,17 +216,7 @@ class StudyRun:
         with low_pause_gc():
             with TRACER.span("study", seed=self.config.seed,
                              days=len(self.config.window)):
-                try:
-                    return self._execute()
-                finally:
-                    disk = disk_cache()
-                    if disk is not None:
-                        # Persist the entry index and lifetime hit/miss
-                        # accounting once simulation and classification
-                        # have both used the store, even if the run failed;
-                        # a warm run stores little, so the store-driven
-                        # flush may never have fired.
-                        disk.flush()
+                return self._execute()
 
     def _execute(self) -> StudyResults:
         simulator, observers, start_index = self._simulation_state()

@@ -1,31 +1,29 @@
 """Tests for the persistent disk cache tier and one-file checkpoints.
 
-Pins the ISSUE-8 contract:
+Pins:
 
 * a study run with ``--disk-cache`` is byte-identical to one without it
-  — cold or warm — and the warm run actually reads from disk
-  (``disk_hit`` counters increment);
-* corrupted / truncated / stale-schema disk entries degrade to misses
-  and are quarantined, never served — including every state an unsynced
-  entry can come back in after a power loss (empty, zero-filled, cut
-  short, holding another entry's record), which is why entries are the
-  one write that skips ``fsync``;
-* eviction is oldest-first across the whole store, and a cache
-  directory the store no longer has is quarantined on open (never a
-  path outside the store, whatever its manifest says);
+  — cold or warm — and the warm run reads every persistent cache from
+  disk (``disk_hit`` counters increment) and writes nothing;
+* a corrupted / truncated / stale-schema / stale-code disk entry reads
+  as a miss and is deleted, never served, and storing the rebuilt value
+  writes it again — including every state an unsynced entry can come
+  back in after a power loss (empty, zero-filled, cut short, holding
+  another entry's record), which is why entries are the one write that
+  skips ``fsync``;
+* the caches that consult the tier are exactly those
+  ``PERSISTENT_CACHES`` lists;
 * the checkpointer keeps one file, written with one fsync per save, and
   kill + resume stays byte-identical at ``--checkpoint-every 1``,
   including resuming over a warm disk cache; a save that fails midway
   leaves the previous one loadable and no temp file; a damaged file, a
   checkpoint of another schema, one naming classes this code no longer
   has, or one whose state does not round-trip is refused with
-  :class:`CheckpointError` before anything unpickles a damaged payload;
-* the ``repro cache`` CLI reports, validates, and clears the store.
+  :class:`CheckpointError` before anything unpickles a damaged payload.
 """
 
 import contextlib
 import errno
-import io
 import json
 import os
 import pickle
@@ -37,7 +35,6 @@ import unittest
 from pathlib import Path
 from unittest import mock
 
-from repro.cli import main as cli_main
 from repro.ecosystem import small_preset
 from repro.faults import SimulatedCrash
 from repro.faults.checkpoint import (
@@ -48,9 +45,10 @@ from repro.faults.checkpoint import (
     load_checkpoint,
 )
 from repro.faults.profiles import PROFILES
-from repro.perf.cache import disk_cache, reset_caches, set_disk_cache
+from repro.perf.cache import _caches, reset_caches, set_disk_cache
 from repro.perf.diskcache import (
     DISK_MISS,
+    DISK_SCHEMA,
     PERSISTENT_CACHES,
     DiskCache,
     derivation_digests,
@@ -86,8 +84,8 @@ def _serp_fingerprint(results):
     return fingerprint
 
 
-def _study(**kwargs):
-    return StudyRun(small_preset(days=DAYS), classify=False, **kwargs)
+def _study(classify=False, **kwargs):
+    return StudyRun(small_preset(days=DAYS), classify=classify, **kwargs)
 
 
 def _bare_simulator(**extra):
@@ -154,7 +152,8 @@ class TestDiskCacheUnit(DiskTierBase):
         """Garbage, and the states an entry renamed into place without
         fsync can come back in after a power loss: empty, zero-filled to
         its full size, or holding the blocks of another entry (a valid
-        record, but stored under another name)."""
+        record, but stored under another name).  Each reads as a miss and
+        is deleted; storing the value again rewrites it."""
         damages = {
             "garbage": lambda blob, other: b"\x80garbage-not-a-record",
             "empty": lambda blob, other: b"",
@@ -175,9 +174,8 @@ class TestDiskCacheUnit(DiskTierBase):
                                                Path(other).read_bytes()))
                 self.assertIs(disk.load("dom", key), DISK_MISS)
                 self.assertFalse(os.path.exists(entry))
-                self.assertEqual(disk.quarantined, 1)
-                # The store still works after quarantining.
                 self.assertTrue(disk.store("dom", key, "payload"))
+                self.assertTrue(os.path.exists(entry))
                 self.assertEqual(disk.load("dom", key), "payload")
                 self.assertEqual(disk.load("dom", other_key), "other payload")
 
@@ -191,158 +189,65 @@ class TestDiskCacheUnit(DiskTierBase):
             blob = Path(entry).read_bytes()
             Path(entry).write_bytes(blob[: len(blob) // 2])
             self.assertIs(disk.load("dom", key), DISK_MISS)
-            self.assertEqual(disk.quarantined, 1)
+            self.assertFalse(os.path.exists(entry))
+            self.assertTrue(disk.store("dom", key, list(range(100))))
+            self.assertEqual(Path(entry).read_bytes(), blob)
 
     def test_schema_bump_quarantines_all_on_load(self):
+        """An entry recorded under another layout version reads as a miss
+        and is deleted; an entry of this version beside it still loads."""
         with tempfile.TemporaryDirectory() as tmp:
             disk = self._cache(tmp)
-            disk.store("dom", b"\x04" * 16, "old")
-            disk.flush()
-            manifest_path = os.path.join(disk.path, "manifest.json")
-            manifest = json.loads(Path(manifest_path).read_text())
-            manifest["schema"] = 999
-            Path(manifest_path).write_text(json.dumps(manifest))
+            old_key, kept_key = b"\x04" * 16, b"\x14" * 16
+            disk.store("dom", old_key, "old")
+            disk.store("dom", kept_key, "kept")
+            entry = Path(disk.path, "dom", entry_filename(old_key) + ".pkl")
+            record = pickle.loads(entry.read_bytes())
+            record["schema"] = DISK_SCHEMA + 1
+            entry.write_bytes(pickle.dumps(record))
             reopened = self._cache(tmp)
-            self.assertIs(reopened.load("dom", b"\x04" * 16), DISK_MISS)
-            self.assertEqual(reopened.stats()["entries"], 0)
+            self.assertIs(reopened.load("dom", old_key), DISK_MISS)
+            self.assertFalse(entry.exists())
+            self.assertEqual(reopened.load("dom", kept_key), "kept")
+            self.assertEqual(reopened.stats()["entries"], 1)
 
     def test_code_digest_change_quarantines_cache(self):
+        """An entry another build derived (another code digest) reads as
+        a miss and is deleted, as does one of a cache the store has no
+        digest for, which it also declines to store."""
         with tempfile.TemporaryDirectory() as tmp:
             disk = self._cache(tmp, code_digests={"dom": "digest-a"})
-            disk.store("dom", b"\x05" * 16, "derived-under-a")
-            disk.flush()
+            key = b"\x05" * 16
+            disk.store("dom", key, "derived-under-a")
+            entry = Path(disk.path, "dom", entry_filename(key) + ".pkl")
             changed = self._cache(tmp, code_digests={"dom": "digest-b"})
-            self.assertIs(changed.load("dom", b"\x05" * 16), DISK_MISS)
-
-    def test_eviction_respects_cap(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            disk = self._cache(tmp, max_bytes=4096)
-            for i in range(64):
-                disk.store("dom", i.to_bytes(16, "big"), "x" * 200)
-            self.assertLessEqual(disk.stats()["total_bytes"], 4096)
-            self.assertLess(disk.stats()["entries"], 64)
-
-    def test_eviction_is_oldest_first_across_caches(self):
-        """A cache's name must not decide what the cap drops: the entries
-        left are always the newest of the whole store, the one just
-        stored among them."""
-        rng = random.Random(0)
-        with tempfile.TemporaryDirectory() as tmp:
-            disk = self._cache(tmp, code_digests={"alpha": "a", "zeta": "z"},
-                               max_bytes=8000)
-            stored = []
-            for name in ("zeta", "alpha"):
-                for i in range(6):
-                    key = i.to_bytes(16, "big")
-                    self.assertTrue(disk.store(name, key, rng.randbytes(1000)))
-                    stored.append((name, key))
-            kept = [(name, key) for name, key in stored
-                    if disk.load(name, key) is not DISK_MISS]
-            self.assertLessEqual(disk.stats()["total_bytes"], 8000)
-            self.assertIn(("alpha", (5).to_bytes(16, "big")), kept)
-            self.assertEqual(kept, stored[len(stored) - len(kept):])
-            self.assertGreater(disk.stats()["caches"]["alpha"]["entries"], 0)
-
-    def test_retired_cache_directory_is_quarantined_and_cleared(self):
-        """Entries of a cache this build no longer has (a DOM store filled
-        by an older build) leave the index on open, so they are neither
-        counted nor left behind by ``clear``."""
-        with tempfile.TemporaryDirectory() as tmp:
-            old = self._cache(tmp, code_digests={"dom": "d", "render": "r"})
-            for i in range(3):
-                old.store("dom", i.to_bytes(16, "big"), "x" * 500)
-                old.store("render", i.to_bytes(16, "big"), i)
-            render_bytes = old.stats()["caches"]["render"]["bytes"]
-            old.flush()
-            disk = self._cache(tmp, code_digests={"render": "r"})
-            stats = disk.stats()
-            self.assertEqual(stats["total_bytes"], render_bytes)
-            self.assertEqual(stats["entries"], 3)
-            self.assertEqual(disk.quarantined, 3)
-            self.assertEqual(list(Path(disk.path, "dom").glob("*.pkl")), [])
-            disk.clear()
-            self.assertEqual(list(Path(disk.path).rglob("*.pkl")), [])
-
-    def test_validate_and_clear(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            disk = self._cache(tmp)
-            for i in range(6):
-                disk.store("dom", i.to_bytes(16, "big"), i)
-
-            def entry(i):
-                return Path(disk.path, "dom",
-                            entry_filename(i.to_bytes(16, "big")) + ".pkl")
-
-            entry(3).write_bytes(b"torn")
-            # What an unsynced entry can hold after a power loss.
-            entry(1).write_bytes(b"")
-            entry(2).write_bytes(bytes(entry(2).stat().st_size))
-            entry(4).write_bytes(entry(4).read_bytes()[:20])
-            outcome = disk.validate()
-            self.assertEqual(outcome["checked"], 6)
-            self.assertEqual(outcome["ok"], 2)
-            self.assertEqual(outcome["quarantined"], 4)
-            removed = disk.clear()
-            self.assertEqual(removed, 2)
-            self.assertEqual(disk.stats()["entries"], 0)
+            self.assertIs(changed.load("dom", key), DISK_MISS)
+            self.assertFalse(entry.exists())
+            self.assertTrue(changed.store("dom", key, "derived-under-b"))
+            other = self._cache(tmp, code_digests={"render": "digest-r"})
+            self.assertIs(other.load("dom", key), DISK_MISS)
+            self.assertFalse(entry.exists())
+            self.assertFalse(other.store("dom", key, "no digest"))
+            self.assertFalse(entry.exists())
 
     def test_only_cache_entries_skip_fsync(self):
-        """``DiskCache.store`` makes no fsync; the store's manifest, a
-        default ``atomic_write`` and a checkpoint save still make one
-        each."""
+        """``DiskCache.store`` makes no fsync; a default ``atomic_write``
+        and a checkpoint save still make one each."""
         with tempfile.TemporaryDirectory() as tmp:
             disk = self._cache(tmp)
             with mock.patch("os.fsync", wraps=os.fsync) as fsync:
                 for i in range(3):
                     self.assertTrue(disk.store("dom", bytes([i]) * 16, i))
                 self.assertEqual(fsync.call_count, 0)
-                disk.flush()
-                self.assertEqual(fsync.call_count, 1)
                 with atomic_write(os.path.join(tmp, "artifact.txt")) as handle:
                     handle.write("artifact\n")
-                self.assertEqual(fsync.call_count, 2)
+                self.assertEqual(fsync.call_count, 1)
 
                 fsync.reset_mock()
                 checkpointer = Checkpointer(os.path.join(tmp, "run.ckpt"),
                                             small_preset(days=DAYS))
                 checkpointer.save(_bare_simulator(), [], 0, SimDate("2013-11-13"))
                 self.assertEqual(fsync.call_count, 1)
-
-    def test_manifest_names_never_leave_the_store(self):
-        """The caches retired on open are named by ``manifest.json``,
-        which is only data: a name that climbs out of the store, or a
-        ``code_digests`` that is no mapping, moves no file outside it,
-        and malformed lifetime totals do not fail the open."""
-        for schema_bumped in (False, True):
-            for recorded in ({"..": "x", ".": "x", "": "x", "quarantine": "x"},
-                             "absolute", ["dom"], "dom"):
-                with self.subTest(recorded=recorded, schema_bumped=schema_bumped), \
-                        tempfile.TemporaryDirectory() as tmp:
-                    beside = Path(tmp, "beside.pkl")
-                    beside.write_bytes(b"not the store's")
-                    elsewhere = Path(tmp, "elsewhere")
-                    elsewhere.mkdir()
-                    Path(elsewhere, "other.pkl").write_bytes(b"not the store's")
-                    if recorded == "absolute":
-                        recorded = {str(elsewhere): "x"}
-                    disk = self._cache(tmp)
-                    disk.store("dom", b"\x07" * 16, "kept")
-                    disk.flush()
-                    manifest_path = Path(disk.path, "manifest.json")
-                    manifest = json.loads(manifest_path.read_text())
-                    manifest["code_digests"] = recorded
-                    manifest["hits"] = manifest["misses"] = recorded
-                    if schema_bumped:
-                        manifest["schema"] = 999
-                    manifest_path.write_text(json.dumps(manifest))
-                    reopened = self._cache(tmp)
-                    self.assertEqual(beside.read_bytes(), b"not the store's")
-                    self.assertEqual(Path(elsewhere, "other.pkl").read_bytes(),
-                                     b"not the store's")
-                    self.assertEqual(reopened.quarantined, int(schema_bumped))
-                    if not schema_bumped:
-                        self.assertEqual(reopened.load("dom", b"\x07" * 16), "kept")
-                        self.assertEqual(reopened.stats()["caches"]["dom"]["hits"], 1)
 
     def test_entry_filename_stable_across_key_shapes(self):
         self.assertEqual(entry_filename(b"\xab\xcd"), "abcd")
@@ -353,14 +258,25 @@ class TestDiskCacheUnit(DiskTierBase):
 
 
 class TestDerivationDigests(unittest.TestCase):
+    def test_persistent_caches_are_exactly_the_listed_ones(self):
+        """``LRUCache.persistent`` is read off ``PERSISTENT_CACHES``, so
+        no cache can consult the tier without a code digest for it."""
+        import repro.classify.features  # noqa: F401
+        import repro.crawler.dagger  # noqa: F401
+        import repro.interventions.notices  # noqa: F401
+
+        self.assertEqual(set(PERSISTENT_CACHES), {"features", "notice"})
+        self.assertEqual({cache.name for cache in _caches if cache.persistent},
+                         set(PERSISTENT_CACHES))
+        self.assertTrue({"dom", "render", "shingle"}
+                        <= {cache.name for cache in _caches})
+
     def test_builder_change_retires_every_dom_derived_cache(self):
         """Every persistent cache derives from cached DOMs, and the DOM
         cache adopts PageBuilder trees on a miss, so an edit to the
-        builder must retire the entries of all four."""
+        builder must retire the entries of both."""
         import repro.html.builder as builder
 
-        self.assertEqual(set(PERSISTENT_CACHES),
-                         {"render", "shingle", "features", "notice"})
         for name, modules in PERSISTENT_CACHES.items():
             self.assertIn("repro.html.builder", modules, name)
         before = derivation_digests()
@@ -381,18 +297,21 @@ class TestWarmStartStudy(DiskTierBase):
     """Cold → warm study runs over a shared disk dir are byte-identical."""
 
     def test_cold_warm_nodisc_identical_and_warm_hits_disk(self):
-        baseline = _study().execute()
+        """With classification on, so that both persistent caches are
+        used: the warm run reads each of them from disk and stores
+        nothing."""
+        baseline = _study(classify=True).execute()
         expected = _psr_bytes(baseline)
         expected_serps = _serp_fingerprint(baseline)
         with tempfile.TemporaryDirectory() as tmp:
             set_disk_cache(os.path.join(tmp, "dcache"))
             reset_caches()
-            cold = _study().execute()
+            cold = _study(classify=True).execute()
             self.assertEqual(_psr_bytes(cold), expected)
 
             reset_caches()  # cold-process simulation: memory gone, disk kept
             before = dict(PERF.counters())
-            warm = _study().execute()
+            warm = _study(classify=True).execute()
             self.assertEqual(_psr_bytes(warm), expected)
             self.assertEqual(_serp_fingerprint(warm), expected_serps)
             deltas = {
@@ -400,11 +319,10 @@ class TestWarmStartStudy(DiskTierBase):
                 for name, value in PERF.counters().items()
                 if value != before.get(name, 0)
             }
-            disk_hits = sum(v for k, v in deltas.items()
-                            if k.endswith(".disk_hit"))
+            for name in PERSISTENT_CACHES:
+                self.assertGreater(deltas.get(f"cache.{name}.disk_hit", 0), 0, name)
             disk_writes = sum(v for k, v in deltas.items()
                               if k.startswith("cache.") and k.endswith(".write"))
-            self.assertGreater(disk_hits, 0)
             self.assertEqual(disk_writes, 0,
                              f"warm run re-stored entries: {deltas}")
 
@@ -617,55 +535,6 @@ class TestDeltaCheckpoint(DiskTierBase):
                 _bare_simulator(), [_ForgetfulObserver()], 0, SimDate("2013-11-13"))
             with self.assertRaisesRegex(CheckpointError, "state digest mismatch"):
                 load_checkpoint(ckpt, config)
-
-
-class TestCacheCli(DiskTierBase):
-    def _run_cli(self, *argv):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli_main(list(argv))
-        return code, out.getvalue()
-
-    def test_stats_validate_clear(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            # Default code digests: the CLI opens the store with the real
-            # derivation digests, so the fixture must use them too.
-            path = os.path.join(tmp, "dcache")
-            disk = DiskCache(path)
-            for i in range(3):
-                disk.store("render", i.to_bytes(16, "big"), i)
-            disk.flush()
-
-            code, out = self._run_cli("cache", "--dir", path)
-            self.assertEqual(code, 0)
-            self.assertIn("render", out)
-            self.assertIn("3 entries", out)
-
-            code, out = self._run_cli("cache", "--dir", path, "--json")
-            self.assertEqual(code, 0)
-            self.assertEqual(json.loads(out)["entries"], 3)
-
-            entry = os.path.join(path, "render",
-                                 entry_filename(b"\x00" * 16) + ".pkl")
-            Path(entry).write_bytes(b"torn")
-            code, out = self._run_cli("cache", "--dir", path, "--validate")
-            self.assertEqual(code, 1)
-            self.assertIn("1 quarantined", out)
-
-            code, out = self._run_cli("cache", "--dir", path, "--clear")
-            self.assertEqual(code, 0)
-            self.assertIn("cleared 2", out)
-
-    def test_missing_dir_exits_two(self):
-        env_had = os.environ.pop("REPRO_DISK_CACHE", None)
-        try:
-            with contextlib.redirect_stderr(io.StringIO()):
-                self.assertEqual(cli_main(["cache"]), 2)
-                self.assertEqual(
-                    cli_main(["cache", "--dir", "/no/such/dir"]), 2)
-        finally:
-            if env_had is not None:
-                os.environ["REPRO_DISK_CACHE"] = env_had
 
 
 if __name__ == "__main__":
