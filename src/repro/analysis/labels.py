@@ -113,8 +113,8 @@ def label_lifetimes(dataset: PsrDataset) -> LabelLifetimes:
         upper = labeled_day - start
         bounds[host] = (lower, upper)
 
-    lowers = [b[0] for b in bounds.values()]  # repro: allow-D005 feeds an integer mean only — order-insensitive
-    uppers = [b[1] for b in bounds.values()]  # repro: allow-D005 feeds an integer mean only — order-insensitive
+    lowers = [b[0] for b in bounds.values()]
+    uppers = [b[1] for b in bounds.values()]
     return LabelLifetimes(
         pre_labeled_hosts=pre_labeled,
         measured_hosts=len(bounds),

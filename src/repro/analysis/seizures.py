@@ -213,7 +213,7 @@ def rotation_reactions(dataset: PsrDataset, orderer=None) -> List[RotationReacti
     for firm in firms:
         seized = [h for h, (_, f) in notice_of.items() if f == firm]
         moved = {h: v for h, v in redirected.items() if v[0] == firm}
-        reactions = [v[1] for v in moved.values()]  # repro: allow-D005 feeds an integer mean only — order-insensitive
+        reactions = [v[1] for v in moved.values()]
         stats.append(
             RotationReactionStats(
                 firm=firm,

@@ -70,7 +70,6 @@ def alternate_term_sample(
 ) -> List[str]:
     """An independent sample from the vertical's term universe — the stand-in
     for regenerating terms with the other selection method."""
-    # repro: allow-D001 seeded from a stable (tag, vertical, seed) repr; analysis-side resampling, outside the simulator's stream tree
     rng = random.Random(("alt-terms", vertical.name, seed).__repr__())
     count = min(count, len(vertical.universe))
     return sorted(rng.sample(vertical.universe, count))

@@ -18,7 +18,6 @@ def kfold_indices(n: int, k: int, seed: int = 0) -> List[List[int]]:
     if n < k:
         raise ValueError(f"cannot split {n} items into {k} folds")
     indices = list(range(n))
-    # repro: allow-D001 seeded by the explicit fold-seed parameter; the classifier stack takes no RandomStreams dependency
     random.Random(seed).shuffle(indices)
     folds: List[List[int]] = [[] for _ in range(k)]
     for position, index in enumerate(indices):

@@ -70,7 +70,6 @@ def build_seed_labels(
 ) -> List[LabeledPage]:
     """The initial hand-labeled set: a spread across campaigns, biased the
     way the paper's was — storefront pages first, doorways to fill."""
-    # repro: allow-D001 seeded by the explicit labeling-seed parameter; the classifier stack takes no RandomStreams dependency
     rng = random.Random(seed)
     by_campaign: Dict[str, List[LabeledPage]] = {}
     for host, html in archive.stores.items():

@@ -20,8 +20,8 @@ Commands:
 * ``history`` — render the ledger's record list and per-metric
   trajectories as sparklines;
 * ``compare`` — diff two ledger records metric by metric;
-* ``lint`` — run the determinism/concurrency static analyzer
-  (:mod:`repro.lint`) over the given paths; exits non-zero on findings.
+* ``lint`` — run the per-file determinism rules (:mod:`repro.lint`) over
+  the given paths; exits non-zero on findings.
 
 ``run`` and ``chaos`` append one record per completed run to the ledger
 named by ``--ledger`` / ``REPRO_LEDGER`` (no ledger → no append), which
@@ -51,13 +51,7 @@ from typing import List, Optional
 # themselves, so ``lint``, ``gate`` and the other ledger commands start
 # without it.
 from repro.faults import PROFILES, SimulatedCrash, profile_named
-from repro.lint import (
-    format_json,
-    format_text,
-    lint_paths,
-    select_rules,
-    write_summary,
-)
+from repro.lint import RULES, lint_paths
 from repro.obs.gate import (
     gate_history,
     load_baseline,
@@ -246,16 +240,10 @@ def _build_parser() -> argparse.ArgumentParser:
                                        "read as for ref_a")
 
     lint = sub.add_parser(
-        "lint", help="run the determinism/concurrency static analyzer"
+        "lint", help="run the per-file determinism rules"
     )
     lint.add_argument("paths", nargs="*", default=["src"],
                       help="files or directories to lint (default: src)")
-    lint.add_argument("--select", default=None, metavar="CODES",
-                      help="comma-separated rule codes to run (default: all)")
-    lint.add_argument("--format", choices=("text", "json"),
-                      default="text", dest="fmt", help="output format")
-    lint.add_argument("--summary", default=None, metavar="PATH",
-                      help="write BENCH_lint.json-style summary counts")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule table and exit")
     return parser
@@ -752,27 +740,16 @@ def command_compare(args) -> int:
 
 
 def command_lint(args) -> int:
-    selected = args.select.split(",") if args.select else None
-    try:
-        rules = select_rules(selected)
-    except ValueError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
     if args.list_rules:
-        for rule in rules:
+        for rule in RULES:
             print(f"{rule.code}  {rule.name:24s} {rule.hint}")
         return 0
     try:
-        report = lint_paths(args.paths, rules)
+        report = lint_paths(args.paths, RULES)
     except FileNotFoundError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
-    if args.fmt == "json":
-        print(format_json(report))
-    else:
-        print(format_text(report))
-    if args.summary:
-        write_summary(report, args.summary)
+    print(report.format_text())
     return 0 if report.ok else 1
 
 

@@ -161,7 +161,6 @@ def paper_preset(
     """The full 16-vertical, 52-campaign scenario, scaled by ``scale``."""
     if not 0.0 < scale <= 1.0:
         raise ValueError(f"scale must be in (0, 1], got {scale}")
-    # repro: allow-D001 seeded from the scenario seed (xor-tagged); runs before the world exists, so no RandomStreams tree to draw from yet
     rng = random.Random(seed ^ 0x5E0CAFE)
     window = window or DateRange(STUDY_START, STUDY_END)
     verticals = [

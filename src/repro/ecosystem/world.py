@@ -101,7 +101,6 @@ class World:
         self._campaigns[campaign.name] = campaign
 
     def campaigns(self) -> List[object]:
-        # repro: allow-D005 build order is fixed by the scenario config; the simulator iterates this and reordering would shift RNG draws
         return list(self._campaigns.values())
 
     def campaign_by_name(self, name: str):
@@ -134,14 +133,12 @@ class World:
         return self._stores.get(store_id)
 
     def stores(self) -> List[Store]:
-        # repro: allow-D005 insertion order is deterministic store-creation order; actors iterate this, so reordering would shift RNG draws
         return list(self._stores.values())
 
     def campaign_of_store(self, store_id: str) -> Optional[str]:
         return self._store_campaign.get(store_id)
 
     def active_doorways(self) -> Iterator[Tuple[object, object]]:
-        # repro: allow-D005 insertion order is deterministic doorway-rollout order; the traffic pass iterates this, so reordering would shift RNG draws
         return iter(self._doorway_by_host.values())
 
     # ------------------------------------------------------------------ #
@@ -162,7 +159,6 @@ class World:
                 sighting.last_seen = day
 
     def store_sightings(self, brand: str) -> List[StoreSighting]:
-        # repro: allow-D005 insertion order is deterministic first-observation order; firms build cases from it, so reordering would shift case composition
         return list(self._sightings.get(brand, {}).values())
 
     # ------------------------------------------------------------------ #

@@ -13,7 +13,7 @@ testable input:
   the same fault seed replays the same failures regardless of call order;
 * :mod:`repro.faults.retry` — capped, jittered exponential backoff drawn
   from the sim RNG, a per-day retry budget, and a per-host circuit
-  breaker (lint rule D009 enforces this discipline tree-wide);
+  breaker;
 * :mod:`repro.faults.checkpoint` — per-sim-day crash-safe checkpoints of
   the whole study state, one file rewritten atomically per save, with
   ``repro run --resume`` continuation that is byte-identical to an

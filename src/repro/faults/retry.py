@@ -11,8 +11,7 @@ without the fault layer.  Under injection it:
   touching the simulated web, so ground truth never observes the fault;
 * retries transient faults up to ``max_attempts`` with capped, jittered
   exponential backoff — *simulated* seconds accumulated on
-  :attr:`simulated_backoff_s`, never ``time.sleep`` (lint rule D009
-  enforces both the bound and the sleep ban tree-wide);
+  :attr:`simulated_backoff_s`, never ``time.sleep``;
 * spends retries from a per-sim-day budget, and opens a per-host circuit
   breaker after repeated failures so a blocked host stops eating the
   budget until its cooldown (in sim days) expires.
@@ -65,7 +64,6 @@ class ResilientFetcher:
         self.policy = policy or RetryPolicy()
         # Jitter stream: seed-derived, consumed only when a fault actually
         # fires, so clean runs draw nothing and stay byte-identical.
-        # repro: allow-D001 seed derives from the stream-registry hash of a fixed path; only jitter (never simulation state) reads it
         self._rng = rng or random.Random(derive_seed(0, "faults", "retry-jitter"))
         #: Simulated seconds spent backing off (reporting only).
         self.simulated_backoff_s = 0.0

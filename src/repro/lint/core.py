@@ -3,19 +3,18 @@
 The analyzer walks each file's AST once, dispatching every node to the
 rules that registered interest in its type (:attr:`Rule.node_types`).
 During the walk each child node gets a ``parent`` backlink so rules can
-climb enclosing expressions (e.g., D005's ``sorted(...)`` guard).  Rules
-needing a whole-module view (D007's executor/worker analysis) do their
-work in :meth:`Rule.end_module` instead.
+climb enclosing expressions (e.g., D005's ``sorted(...)`` guard).
 
-Findings can be waived inline::
+A waiver is the one way to exempt a line::
 
-    grouped[key] = ...  # repro: allow-D004 keys are live for the whole pass
+    stamp = time.time()  # repro: allow-D003 provenance only, never simulation state
 
-A suppression must name the rule code (``allow-D004`` or a comma list
-``allow-D004,D005``) and carry a written reason; a reason-less
-suppression does not suppress anything and is itself reported under the
-``D000`` meta-code.  A suppression applies to findings on its own line or,
-when written as a standalone comment, on the line directly below it.
+It names the rule code (``allow-D003`` or a comma list
+``allow-D003,D005``) and carries a written reason, and applies to
+findings on its own line or, when written as a standalone comment, on
+the line directly below it.  A waiver with no reason, one naming a code
+no rule has, and one that waives nothing are each reported under the
+``D000`` meta-code, which no waiver covers.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Meta-code for problems with the lint pass itself (syntax errors in a
-#: linted file, malformed suppressions) — never selectable, never waivable.
+#: linted file, malformed or stale waivers) — never waivable.
 META_CODE = "D000"
 
 
@@ -50,32 +49,21 @@ class Finding:
             text += f" [fix: {self.hint}]"
         return text
 
-    def to_json(self) -> dict:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "code": self.code,
-            "message": self.message,
-            "hint": self.hint,
-        }
 
-
-_SUPPRESSION_RE = re.compile(
+_WAIVER_RE = re.compile(
     r"#\s*repro:\s*allow-(?P<codes>D\d{3}(?:\s*,\s*D\d{3})*)\s*(?P<reason>.*?)\s*$"
 )
 
 
 @dataclass
-class Suppression:
+class Waiver:
     """A parsed ``# repro: allow-D00x <reason>`` comment."""
 
-    path: str
     line: int
+    col: int
     codes: Tuple[str, ...]
-    reason: str
     standalone: bool  #: comment-only line (waives the line below too)
-    used: bool = False
+    used: set = field(default_factory=set)  #: codes that waived a finding
 
     def covers(self, finding: Finding) -> bool:
         if finding.code not in self.codes:
@@ -83,21 +71,6 @@ class Suppression:
         if finding.line == self.line:
             return True
         return self.standalone and finding.line == self.line + 1
-
-
-class LintContext:
-    """Per-file state handed to every rule callback."""
-
-    def __init__(self, path: str, source: str, tree: ast.Module):
-        self.path = path
-        self.source = source
-        self.tree = tree
-        self.lines = source.splitlines()
-
-    def line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -111,58 +84,37 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def root_name(node: ast.AST) -> Optional[str]:
-    """The leftmost Name of an Attribute/Subscript chain (``a`` in
-    ``a.b[k].c``), else None."""
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
+def imported_aliases(tree: ast.Module, module: str) -> set:
+    """Names ``import <module> [as x]`` binds in ``tree``."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == module
+    }
 
 
 class Rule:
     """Base class for one lint rule.
 
     Subclasses set :attr:`code` (stable ``D00x`` identifier), a short
-    :attr:`name`, a one-line fix :attr:`hint`, the AST :attr:`node_types`
-    they want dispatched, and optionally :attr:`exempt_suffixes` — path
-    suffixes (posix form) where the rule does not apply (e.g., D001 is
-    exempt inside the RNG discipline modules themselves) — and
-    :attr:`exempt_dirs` — sanctioned directories (posix path fragments
-    matched on whole components, e.g. ``repro/obs``) whose every file the
-    rule skips.
+    :attr:`name`, a one-line fix :attr:`hint` and the AST
+    :attr:`node_types` they want dispatched.
     """
 
     code: str = META_CODE
     name: str = ""
     hint: str = ""
     node_types: Tuple[type, ...] = ()
-    exempt_suffixes: Tuple[str, ...] = ()
-    exempt_dirs: Tuple[str, ...] = ()
 
-    def applies_to(self, path: str) -> bool:
-        posix = path.replace(os.sep, "/")
-        if any(posix.endswith(suffix) for suffix in self.exempt_suffixes):
-            return False
-        anchored = "/" + posix
-        return not any(
-            f"/{directory.strip('/')}/" in anchored
-            for directory in self.exempt_dirs
-        )
-
-    def begin_module(self, tree: ast.Module, ctx: LintContext) -> None:
+    def begin_module(self, tree: ast.Module) -> None:
         """Called before the walk; collect module-level facts here."""
 
-    def visit_node(self, node: ast.AST, ctx: LintContext) -> Iterable[Finding]:
+    def visit_node(self, node: ast.AST, path: str) -> Iterable[Finding]:
         return ()
 
-    def end_module(self, tree: ast.Module, ctx: LintContext) -> Iterable[Finding]:
-        return ()
-
-    def finding(self, ctx: LintContext, node: ast.AST, message: str) -> Finding:
+    def finding(self, path: str, node: ast.AST, message: str) -> Finding:
         return Finding(
-            path=ctx.path,
+            path=path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             code=self.code,
@@ -171,98 +123,99 @@ class Rule:
         )
 
 
-def _collect_suppressions(path: str, source: str) -> Tuple[List[Suppression], List[Finding]]:
-    suppressions: List[Suppression] = []
+def _meta(path: str, line: int, col: int, message: str) -> Finding:
+    return Finding(path=path, line=line, col=col, code=META_CODE, message=message)
+
+
+def _collect_waivers(
+    path: str, source: str, known: Sequence[str]
+) -> Tuple[List[Waiver], List[Finding]]:
+    waivers: List[Waiver] = []
     problems: List[Finding] = []
     try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         comments = [
             (tok.start[0], tok.start[1], tok.string)
-            for tok in tokens
+            for tok in tokenize.generate_tokens(io.StringIO(source).readline)
             if tok.type == tokenize.COMMENT
         ]
     except (tokenize.TokenError, IndentationError):
-        return suppressions, problems
+        return waivers, problems
     lines = source.splitlines()
     for lineno, col, text in comments:
-        match = _SUPPRESSION_RE.match(text)
+        match = _WAIVER_RE.match(text)
         if match is None:
             continue
-        codes = tuple(
-            code.strip() for code in match.group("codes").split(",")
-        )
-        reason = match.group("reason")
-        standalone = lines[lineno - 1][:col].strip() == ""
-        if not reason:
-            problems.append(Finding(
-                path=path, line=lineno, col=col, code=META_CODE,
-                message=(
-                    f"suppression for {','.join(codes)} has no reason; "
-                    "write '# repro: allow-D00x <why this is safe>'"
-                ),
-            ))
+        codes = tuple(code.strip() for code in match.group("codes").split(","))
+        if not match.group("reason"):
+            problems.append(_meta(path, lineno, col, (
+                f"waiver for {','.join(codes)} has no reason; "
+                "write '# repro: allow-D00x <why this is safe>'"
+            )))
             continue
-        suppressions.append(Suppression(
-            path=path, line=lineno, codes=codes, reason=reason,
-            standalone=standalone,
-        ))
-    return suppressions, problems
+        unknown = [code for code in codes if code not in known]
+        if unknown:
+            problems.append(_meta(path, lineno, col, (
+                f"waiver names unknown rule {','.join(unknown)} "
+                f"(rules: {', '.join(known)})"
+            )))
+            continue
+        standalone = lines[lineno - 1][:col].strip() == ""
+        waivers.append(Waiver(line=lineno, col=col, codes=codes,
+                              standalone=standalone))
+    return waivers, problems
 
 
-def _run_rules(rules: Sequence[Rule], ctx: LintContext) -> List[Finding]:
+def _run_rules(rules: Sequence[Rule], tree: ast.Module, path: str) -> List[Finding]:
     dispatch: Dict[type, List[Rule]] = {}
     for rule in rules:
-        rule.begin_module(ctx.tree, ctx)
+        rule.begin_module(tree)
         for node_type in rule.node_types:
             dispatch.setdefault(node_type, []).append(rule)
     findings: List[Finding] = []
-    stack: List[ast.AST] = [ctx.tree]
+    stack: List[ast.AST] = [tree]
     while stack:
         node = stack.pop()
         for rule in dispatch.get(type(node), ()):
-            findings.extend(rule.visit_node(node, ctx))
+            findings.extend(rule.visit_node(node, path))
         for child in ast.iter_child_nodes(node):
             child.parent = node  # backlink for ancestor-sensitive rules
             stack.append(child)
-    for rule in rules:
-        findings.extend(rule.end_module(ctx.tree, ctx))
     return findings
 
 
 @dataclass
 class FileResult:
-    path: str
     findings: List[Finding] = field(default_factory=list)
-    suppressions: List[Suppression] = field(default_factory=list)
+    waivers_used: int = 0
 
 
-def lint_file(path: str, rules: Sequence[Rule], display_path: Optional[str] = None) -> FileResult:
-    """Lint one file: parse, walk, apply suppressions."""
+def lint_file(path: str, rules: Sequence[Rule],
+              display_path: Optional[str] = None) -> FileResult:
+    """Lint one file: parse, walk, apply waivers."""
     shown = (display_path or path).replace(os.sep, "/")
-    result = FileResult(path=shown)
+    result = FileResult()
     with open(path, "r", encoding="utf-8") as handle:
         source = handle.read()
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        result.findings.append(Finding(
-            path=shown, line=exc.lineno or 1, col=exc.offset or 0,
-            code=META_CODE, message=f"syntax error: {exc.msg}",
-        ))
+        result.findings.append(_meta(shown, exc.lineno or 1, exc.offset or 0,
+                                     f"syntax error: {exc.msg}"))
         return result
-    suppressions, problems = _collect_suppressions(shown, source)
-    result.suppressions = suppressions
-    applicable = [rule for rule in rules if rule.applies_to(shown)]
-    ctx = LintContext(shown, source, tree)
-    raw = _run_rules(applicable, ctx)
-    kept: List[Finding] = []
-    for finding in raw:
-        waiver = next((s for s in suppressions if s.covers(finding)), None)
-        if waiver is not None:
-            waiver.used = True
-        else:
+    waivers, kept = _collect_waivers(shown, source, [rule.code for rule in rules])
+    for finding in _run_rules(rules, tree, shown):
+        waiver = next((w for w in waivers if w.covers(finding)), None)
+        if waiver is None:
             kept.append(finding)
-    kept.extend(problems)
+        else:
+            waiver.used.add(finding.code)
+    for waiver in waivers:
+        stale = [code for code in waiver.codes if code not in waiver.used]
+        if stale:
+            kept.append(_meta(shown, waiver.line, waiver.col, (
+                f"waiver for {','.join(stale)} waives nothing; delete it"
+            )))
+        result.waivers_used += len(waiver.used)
     kept.sort(key=lambda f: (f.line, f.col, f.code))
     result.findings = kept
     return result
@@ -289,26 +242,25 @@ def discover_files(paths: Sequence[str]) -> List[str]:
 
 @dataclass
 class LintReport:
-    """Aggregated outcome of one lint run (see :mod:`repro.lint.reporting`
-    for the serialized schema)."""
+    """Aggregated outcome of one lint run."""
 
     findings: List[Finding]
     files: int
-    rule_codes: List[str]
-    suppressions_used: int
-    suppressions_unused: int
-    unused_suppression_sites: List[Tuple[str, int]]
-
-    @property
-    def by_rule(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for finding in self.findings:
-            counts[finding.code] = counts.get(finding.code, 0) + 1
-        return counts
+    rules: int
+    waivers_used: int
 
     @property
     def ok(self) -> bool:
         return not self.findings
+
+    def format_text(self) -> str:
+        """One ``path:line: D00x message`` row per finding, then a summary."""
+        status = "ok" if self.ok else f"{len(self.findings)} finding(s)"
+        summary = (
+            f"repro.lint: {status} in {self.files} file(s) "
+            f"({self.rules} rules, {self.waivers_used} waiver(s) used)"
+        )
+        return "\n".join([f.format_text() for f in self.findings] + [summary])
 
 
 def lint_paths(
@@ -321,25 +273,11 @@ def lint_paths(
     base = root or os.getcwd()
     findings: List[Finding] = []
     used = 0
-    unused_sites: List[Tuple[str, int]] = []
-    active_codes = {rule.code for rule in rules}
     for path in files:
         display = os.path.relpath(path, base) if os.path.isabs(path) else path
         result = lint_file(path, rules, display_path=display)
         findings.extend(result.findings)
-        for suppression in result.suppressions:
-            if suppression.used:
-                used += 1
-            elif any(code in active_codes for code in suppression.codes):
-                # A waiver is only "unused" when a rule it names actually
-                # ran: `--select D004` must not flag allow-D005 sites.
-                unused_sites.append((result.path, suppression.line))
+        used += result.waivers_used
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    return LintReport(
-        findings=findings,
-        files=len(files),
-        rule_codes=[rule.code for rule in rules],
-        suppressions_used=used,
-        suppressions_unused=len(unused_sites),
-        unused_suppression_sites=unused_sites,
-    )
+    return LintReport(findings=findings, files=len(files), rules=len(rules),
+                      waivers_used=used)

@@ -1,20 +1,17 @@
 """D011 — atomic artifact writes.
 
-Every artifact this repo emits (psrs.jsonl, tables, BENCH files, trace
-exports, checkpoints, disk-cache entries) is a file another process —
-CI's ``cmp``, a resumed run, a warm-started cache — will read back and
-trust byte-for-byte.  A raw write-mode ``open()`` tears on a crash: the
-reader sees a half-written file with a valid name, which is strictly
-worse than no file at all (a truncated checkpoint resumes garbage; a
-torn BENCH json fails the whole bench session).
+Every artifact this repo emits (psrs.jsonl, tables, trace exports,
+checkpoints, disk-cache entries) is a file another process — CI's
+``cmp``, a resumed run, a warm-started cache — will read back and trust
+byte-for-byte.  A raw write-mode ``open()`` tears on a crash: the reader
+sees a half-written file with a valid name, which is strictly worse than
+no file at all (a truncated checkpoint resumes garbage).
 
 The sanctioned writer is :func:`repro.util.atomicio.atomic_write`:
 temp file in the target directory, fsync, then ``os.replace`` — readers
 see the old complete bytes or the new complete bytes, never a mix.
 This rule flags ``open()`` calls whose mode creates or truncates
 (``w``/``a``/``x``, and ``+`` update modes); read-mode opens are fine.
-``atomicio.py`` itself is exempt — it is the one place allowed to touch
-the raw file plumbing.
 """
 
 from __future__ import annotations
@@ -22,8 +19,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Optional
 
-from repro.lint.core import Finding, LintContext, Rule, dotted_name
-from repro.lint.registry import register
+from repro.lint.core import Finding, Rule, dotted_name
 
 _WRITE_CHARS = frozenset("wax+")
 
@@ -45,7 +41,6 @@ def _call_mode(node: ast.Call) -> Optional[str]:
     return None
 
 
-@register
 class AtomicWriteRule(Rule):
     """D011: raw write-mode ``open()`` instead of ``atomic_write``."""
 
@@ -56,15 +51,14 @@ class AtomicWriteRule(Rule):
         "(temp file + fsync + rename; readers never see a torn file)"
     )
     node_types = (ast.Call,)
-    exempt_suffixes = ("repro/util/atomicio.py",)
 
-    def visit_node(self, node: ast.AST, ctx: LintContext) -> Iterable[Finding]:
+    def visit_node(self, node: ast.AST, path: str) -> Iterable[Finding]:
         if dotted_name(node.func) != "open":
             return
         mode = _call_mode(node)
         if mode is None or not (_WRITE_CHARS & set(mode)):
             return
-        yield self.finding(ctx, node, (
+        yield self.finding(path, node, (
             f"raw open(..., {mode!r}) can leave a torn file on a crash — "
             f"write through atomic_write"
         ))

@@ -11,8 +11,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.lint.core import Finding, LintContext, Rule, dotted_name
-from repro.lint.registry import register
+from repro.lint.core import Finding, Rule, dotted_name
 
 _MUTABLE_CONSTRUCTORS = frozenset({
     "list", "dict", "set", "bytearray",
@@ -31,7 +30,6 @@ def _is_mutable_default(node: ast.AST) -> bool:
     return False
 
 
-@register
 class MutableDefaultRule(Rule):
     """D006: ``def f(x, acc=[])`` / ``def f(x, cache={})``."""
 
@@ -40,7 +38,7 @@ class MutableDefaultRule(Rule):
     hint = "default to None and create the container inside the function"
     node_types = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
-    def visit_node(self, node: ast.AST, ctx: LintContext) -> Iterable[Finding]:
+    def visit_node(self, node: ast.AST, path: str) -> Iterable[Finding]:
         label = (
             f"lambda at line {node.lineno}"
             if isinstance(node, ast.Lambda)
@@ -52,7 +50,7 @@ class MutableDefaultRule(Rule):
         for default in defaults:
             if _is_mutable_default(default):
                 yield Finding(
-                    path=ctx.path,
+                    path=path,
                     line=default.lineno,
                     col=default.col_offset,
                     code=self.code,

@@ -12,8 +12,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.lint.core import Finding, LintContext, Rule
-from repro.lint.registry import register
+from repro.lint.core import Finding, Rule
 
 #: Mapping/set methods whose first argument is a key/member.
 _KEYED_METHODS = frozenset({
@@ -48,7 +47,6 @@ def _yields_ids(node: ast.AST) -> bool:
     return False
 
 
-@register
 class IdentityKeyRule(Rule):
     """D004: ``id(x)`` as dict key, set member, or membership probe."""
 
@@ -60,10 +58,10 @@ class IdentityKeyRule(Rule):
         ast.Dict, ast.DictComp, ast.Set, ast.SetComp,
     )
 
-    def visit_node(self, node: ast.AST, ctx: LintContext) -> Iterable[Finding]:
+    def visit_node(self, node: ast.AST, path: str) -> Iterable[Finding]:
         if isinstance(node, ast.Subscript):
             if _is_id_call(node.slice):
-                yield self.finding(ctx, node, "id() used as a subscript key")
+                yield self.finding(path, node, "id() used as a subscript key")
             return
         if isinstance(node, ast.Call):
             func = node.func
@@ -74,7 +72,7 @@ class IdentityKeyRule(Rule):
                 and _is_id_call(node.args[0])
             ):
                 yield self.finding(
-                    ctx, node, f"id() passed as the key to .{func.attr}()"
+                    path, node, f"id() passed as the key to .{func.attr}()"
                 )
             elif (
                 isinstance(func, ast.Name)
@@ -83,7 +81,7 @@ class IdentityKeyRule(Rule):
                 and (_is_id_call(node.args[0]) or _yields_ids(node.args[0]))
             ):
                 yield self.finding(
-                    ctx, node, f"{func.id}() built from id() values"
+                    path, node, f"{func.id}() built from id() values"
                 )
             return
         if isinstance(node, ast.Compare):
@@ -91,23 +89,23 @@ class IdentityKeyRule(Rule):
                 isinstance(op, (ast.In, ast.NotIn)) for op in node.ops
             ):
                 yield self.finding(
-                    ctx, node, "membership test on id() values"
+                    path, node, "membership test on id() values"
                 )
             return
         if isinstance(node, ast.Dict):
             for key in node.keys:
                 if key is not None and _is_id_call(key):
-                    yield self.finding(ctx, key, "id() used as a dict-literal key")
+                    yield self.finding(path, key, "id() used as a dict-literal key")
             return
         if isinstance(node, ast.DictComp):
             if _is_id_call(node.key):
-                yield self.finding(ctx, node, "id() used as a dict-comprehension key")
+                yield self.finding(path, node, "id() used as a dict-comprehension key")
             return
         if isinstance(node, ast.Set):
             for elt in node.elts:
                 if _is_id_call(elt):
-                    yield self.finding(ctx, elt, "id() used as a set-literal member")
+                    yield self.finding(path, elt, "id() used as a set-literal member")
             return
         if isinstance(node, ast.SetComp):
             if _is_id_call(node.elt):
-                yield self.finding(ctx, node, "set comprehension over id() values")
+                yield self.finding(path, node, "set comprehension over id() values")

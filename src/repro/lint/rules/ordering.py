@@ -1,11 +1,11 @@
-"""D005 — unordered iteration feeding ordered output.
+"""D005 — set iteration feeding ordered output.
 
 Iterating a ``set`` gives hash order — PYTHONHASHSEED-dependent for
-strings, so two runs of the same scenario can disagree.  ``dict.values()``
-/ ``.keys()`` are insertion-ordered (deterministic given deterministic
-inserts), but a consumer of the returned sequence acquires a silent
-dependency on that insertion order; the rule forces each such site to
-either sort or document why insertion order is itself stable.
+strings, so two runs of the same scenario can disagree.  The rule sees a
+set it can recognise at the iteration site: ``set(...)``/``frozenset(...)``
+calls, set literals and set comprehensions, not a set bound to a name.
+Dicts iterate in insertion order, which is deterministic whenever the
+inserts are, so dict views pass.
 """
 
 from __future__ import annotations
@@ -13,27 +13,30 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Optional
 
-from repro.lint.core import Finding, LintContext, Rule
-from repro.lint.registry import register
+from repro.lint.core import Finding, Rule
 
 #: Builtins whose output preserves iteration order.
 _ORDERED_SINKS = frozenset({"list", "tuple", "iter", "enumerate", "reversed"})
 
-#: Accumulator methods that make a for-loop an ordered producer.
-_ACCUMULATORS = frozenset({"append", "extend", "insert", "appendleft"})
+#: Accumulator methods that make a for-loop an ordered producer (a dict
+#: keeps insertion order, so filling one in set order leaks hash order).
+_ACCUMULATORS = frozenset({"append", "extend", "insert", "appendleft", "setdefault"})
 
 
-def _unordered_source(node: ast.AST) -> Optional[str]:
-    """Describe ``node`` if it iterates in set/view order, else None."""
+def _accumulates(node: ast.AST) -> bool:
     if isinstance(node, ast.Call):
         func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in ("values", "keys")
-            and not node.args
-            and not node.keywords
-        ):
-            return f".{func.attr}() view"
+        return isinstance(func, ast.Attribute) and func.attr in _ACCUMULATORS
+    if isinstance(node, (ast.Assign, ast.AugAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return any(isinstance(target, ast.Subscript) for target in targets)
+    return isinstance(node, (ast.Yield, ast.YieldFrom))
+
+
+def _set_source(node: ast.AST) -> Optional[str]:
+    """Describe ``node`` if it iterates in set order, else None."""
+    if isinstance(node, ast.Call):
+        func = node.func
         if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
             return f"{func.id}()"
     if isinstance(node, ast.Set):
@@ -44,13 +47,13 @@ def _unordered_source(node: ast.AST) -> Optional[str]:
 
 
 def _source_of(node: ast.AST) -> Optional[str]:
-    """Like :func:`_unordered_source`, also looking through one generator
-    or list comprehension (``",".join(f(x) for x in s)``)."""
-    direct = _unordered_source(node)
+    """Like :func:`_set_source`, also looking through one generator or
+    list comprehension (``",".join(f(x) for x in s)``)."""
+    direct = _set_source(node)
     if direct is not None:
         return direct
     if isinstance(node, (ast.GeneratorExp, ast.ListComp)) and node.generators:
-        return _unordered_source(node.generators[0].iter)
+        return _set_source(node.generators[0].iter)
     return None
 
 
@@ -68,16 +71,15 @@ def _inside_sorted(node: ast.AST) -> bool:
         current = parent
 
 
-@register
-class UnorderedIterationRule(Rule):
-    """D005: set / dict-view iteration flowing into ordered output."""
+class SetIterationRule(Rule):
+    """D005: set iteration flowing into ordered output."""
 
     code = "D005"
-    name = "unordered-iteration"
-    hint = "wrap the source in sorted(...) or document why insertion order is stable"
+    name = "set-iteration"
+    hint = "wrap the set in sorted(...) before anything order-dependent sees it"
     node_types = (ast.Call, ast.ListComp, ast.For)
 
-    def visit_node(self, node: ast.AST, ctx: LintContext) -> Iterable[Finding]:
+    def visit_node(self, node: ast.AST, path: str) -> Iterable[Finding]:
         if isinstance(node, ast.Call):
             func = node.func
             sink: Optional[str] = None
@@ -89,33 +91,26 @@ class UnorderedIterationRule(Rule):
                 return
             source = _source_of(node.args[0])
             if source is not None and not _inside_sorted(node):
-                yield self.finding(ctx, node, (
-                    f"{sink} over a {source} fixes an unordered iteration "
-                    "into ordered output"
+                yield self.finding(path, node, (
+                    f"{sink} over a {source} fixes hash order into "
+                    "ordered output"
                 ))
             return
         if isinstance(node, ast.ListComp):
             if not node.generators:
                 return
-            source = _unordered_source(node.generators[0].iter)
+            source = _set_source(node.generators[0].iter)
             if source is not None and not _inside_sorted(node):
-                yield self.finding(ctx, node, (
-                    f"list comprehension over a {source} fixes an unordered "
-                    "iteration into ordered output"
+                yield self.finding(path, node, (
+                    f"list comprehension over a {source} fixes hash order "
+                    "into ordered output"
                 ))
             return
         if isinstance(node, ast.For):
-            source = _unordered_source(node.iter)
+            source = _set_source(node.iter)
             if source is None:
                 return
-            for sub in ast.walk(node):
-                accumulates = (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr in _ACCUMULATORS
-                ) or isinstance(sub, (ast.Yield, ast.YieldFrom))
-                if accumulates:
-                    yield self.finding(ctx, node, (
-                        f"loop over a {source} accumulates into ordered output"
-                    ))
-                    return
+            if any(_accumulates(sub) for sub in ast.walk(node)):
+                yield self.finding(path, node, (
+                    f"loop over a {source} accumulates into ordered output"
+                ))

@@ -1,9 +1,9 @@
 """D001/D002 — RNG discipline.
 
-Every draw in the simulator must come from a named, seed-derived stream
-(:class:`repro.util.rng.RandomStreams`) or an explicit NumPy
-``Generator(PCG64(seed))``; process-global RNG state makes results depend
-on import order, call order across components, and thread interleaving.
+Every draw in the simulator must come from a seeded generator: a named
+stream (:class:`repro.util.rng.RandomStreams`), a ``random.Random(seed)``
+or an explicit NumPy ``Generator(PCG64(seed))``.  Process-global or
+entropy-seeded RNG state makes two runs of one seed differ.
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Set
 
-from repro.lint.core import Finding, LintContext, Rule, dotted_name
-from repro.lint.registry import register
+from repro.lint.core import Finding, Rule, dotted_name, imported_aliases
 
 #: ``random.<func>`` calls that touch the hidden module-global Mersenne
 #: Twister instance.
@@ -25,60 +24,29 @@ _GLOBAL_RANDOM_FUNCS = frozenset({
 })
 
 
-class _ImportTracking(Rule):
-    """Shared alias bookkeeping for the RNG rules."""
+class StdlibRandomRule(Rule):
+    """D001: module-global or unseeded stdlib ``random``.
 
-    def begin_module(self, tree: ast.Module, ctx: LintContext) -> None:
-        self.random_aliases: Set[str] = set()
-        self.numpy_aliases: Set[str] = set()
-        self.nprandom_aliases: Set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    if alias.name == "random":
-                        self.random_aliases.add(bound)
-                    elif alias.name == "numpy":
-                        self.numpy_aliases.add(bound)
-                    elif alias.name == "numpy.random":
-                        if alias.asname:
-                            self.nprandom_aliases.add(alias.asname)
-                        else:
-                            self.numpy_aliases.add("numpy")
-            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
-                for alias in node.names:
-                    if alias.name == "random":
-                        self.nprandom_aliases.add(alias.asname or "random")
-
-
-@register
-class StdlibRandomRule(_ImportTracking):
-    """D001: stdlib ``random`` use outside the RNG discipline modules.
-
-    Three tiers, all reported under one code:
-
-    * module-global draws (``random.random()``, ``random.shuffle``, or any
-      ``from random import <func>``) — never acceptable;
-    * unseeded constructions (``random.Random()`` with no arguments,
-      ``random.SystemRandom``) — nondeterministic by definition;
-    * seeded ``random.Random(seed)`` constructed outside
-      :mod:`repro.util.rng` — deterministic but bypasses the stream
-      registry; suppress with a reason when the seed provably derives from
-      the scenario seed.
+    Flags module-global draws (``random.random()``, ``random.shuffle``, or
+    any ``from random import <func>``) and unseeded constructions
+    (``random.Random()`` with no arguments, ``random.SystemRandom``).  A
+    seeded ``random.Random(seed)`` is deterministic and passes.
     """
 
     code = "D001"
     name = "stdlib-random"
-    hint = "draw from a named RandomStreams stream (repro.util.rng)"
+    hint = "draw from a named RandomStreams stream or a seeded random.Random(seed)"
     node_types = (ast.Call, ast.ImportFrom)
-    exempt_suffixes = ("repro/util/rng.py", "repro/util/randmath.py")
 
-    def visit_node(self, node: ast.AST, ctx: LintContext) -> Iterable[Finding]:
+    def begin_module(self, tree: ast.Module) -> None:
+        self.random_aliases = imported_aliases(tree, "random")
+
+    def visit_node(self, node: ast.AST, path: str) -> Iterable[Finding]:
         if isinstance(node, ast.ImportFrom):
             if node.module == "random" and node.level == 0:
                 for alias in node.names:
                     if alias.name != "Random":
-                        yield self.finding(ctx, node, (
+                        yield self.finding(path, node, (
                             f"'from random import {alias.name}' binds the "
                             "process-global RNG"
                         ))
@@ -90,29 +58,22 @@ class StdlibRandomRule(_ImportTracking):
         if base not in self.random_aliases:
             return
         if attr in _GLOBAL_RANDOM_FUNCS:
-            yield self.finding(ctx, node, (
+            yield self.finding(path, node, (
                 f"call to module-global random.{attr}() (hidden shared "
                 "Mersenne Twister state)"
             ))
         elif attr == "SystemRandom":
-            yield self.finding(ctx, node, (
+            yield self.finding(path, node, (
                 "random.SystemRandom draws from the OS entropy pool and can "
                 "never be reproduced"
             ))
-        elif attr == "Random":
-            if not node.args and not node.keywords:
-                yield self.finding(ctx, node, (
-                    "unseeded random.Random() — seeds itself from OS entropy"
-                ))
-            else:
-                yield self.finding(ctx, node, (
-                    "direct random.Random(seed) construction bypasses the "
-                    "RandomStreams registry"
-                ))
+        elif attr == "Random" and not node.args and not node.keywords:
+            yield self.finding(path, node, (
+                "unseeded random.Random() — seeds itself from OS entropy"
+            ))
 
 
-@register
-class NumpyRandomRule(_ImportTracking):
+class NumpyRandomRule(Rule):
     """D002: legacy/global ``numpy.random`` API.
 
     Only the explicit-state constructors (``Generator``, ``PCG64``,
@@ -129,12 +90,30 @@ class NumpyRandomRule(_ImportTracking):
 
     _ALLOWED = frozenset({"Generator", "PCG64", "PCG64DXSM", "SeedSequence"})
 
-    def visit_node(self, node: ast.AST, ctx: LintContext) -> Iterable[Finding]:
+    def begin_module(self, tree: ast.Module) -> None:
+        self.numpy_aliases: Set[str] = set()
+        self.nprandom_aliases: Set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name == "numpy":
+                        self.numpy_aliases.add(alias.asname or "numpy")
+                    elif alias.name == "numpy.random":
+                        if alias.asname:
+                            self.nprandom_aliases.add(alias.asname)
+                        else:
+                            self.numpy_aliases.add("numpy")
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                for alias in node.names:
+                    if alias.name == "random":
+                        self.nprandom_aliases.add(alias.asname or "random")
+
+    def visit_node(self, node: ast.AST, path: str) -> Iterable[Finding]:
         if isinstance(node, ast.ImportFrom):
             if node.module == "numpy.random" and node.level == 0:
                 for alias in node.names:
                     if alias.name not in self._ALLOWED:
-                        yield self.finding(ctx, node, (
+                        yield self.finding(path, node, (
                             f"'from numpy.random import {alias.name}' binds "
                             "the legacy global-state API"
                         ))
@@ -150,7 +129,7 @@ class NumpyRandomRule(_ImportTracking):
                 and parts[1] == "random")
         )
         if is_np_random and attr not in self._ALLOWED:
-            yield self.finding(ctx, node, (
+            yield self.finding(path, node, (
                 f"np.random.{attr}() uses numpy's module-global RandomState "
                 "(or a version-dependent default bit generator)"
             ))

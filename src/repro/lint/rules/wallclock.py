@@ -1,19 +1,18 @@
-"""D003 — wall-clock reads in simulation code.
+"""D003 — wall-clock reads.
 
 Simulated time is :class:`repro.util.simtime.SimDate`; reading the host
 clock couples results to when (and where) a run happens.  Monotonic
 timers used for perf measurement (``perf_counter``, ``monotonic``,
 ``process_time``) are explicitly allowed — they never feed simulation
-state, only the PERF registry.
+state, only the PERF registry.  A provenance timestamp takes a waiver.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Set
+from typing import Iterable
 
-from repro.lint.core import Finding, LintContext, Rule, dotted_name
-from repro.lint.registry import register
+from repro.lint.core import Finding, Rule, dotted_name, imported_aliases
 
 #: ``time.<func>`` reads of the host clock.
 _TIME_FUNCS = frozenset({
@@ -24,7 +23,6 @@ _TIME_FUNCS = frozenset({
 _DATETIME_ATTRS = frozenset({"now", "today", "utcnow"})
 
 
-@register
 class WallClockRule(Rule):
     """D003: ``time.time()`` / ``datetime.now()`` / ``date.today()``."""
 
@@ -32,25 +30,16 @@ class WallClockRule(Rule):
     name = "wall-clock"
     hint = "use SimDate / world.today (repro.util.simtime); perf timing uses perf_counter"
     node_types = (ast.Call, ast.ImportFrom)
-    exempt_suffixes = ("repro/util/simtime.py", "repro/util/perf.py")
-    #: Observability is the sanctioned wall-clock reader: run manifests
-    #: timestamp provenance (created_at), never simulation state.
-    exempt_dirs = ("repro/obs",)
 
-    def begin_module(self, tree: ast.Module, ctx: LintContext) -> None:
-        self.time_aliases: Set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "time":
-                        self.time_aliases.add(alias.asname or "time")
+    def begin_module(self, tree: ast.Module) -> None:
+        self.time_aliases = imported_aliases(tree, "time")
 
-    def visit_node(self, node: ast.AST, ctx: LintContext) -> Iterable[Finding]:
+    def visit_node(self, node: ast.AST, path: str) -> Iterable[Finding]:
         if isinstance(node, ast.ImportFrom):
             if node.module == "time" and node.level == 0:
                 for alias in node.names:
                     if alias.name in _TIME_FUNCS:
-                        yield self.finding(ctx, node, (
+                        yield self.finding(path, node, (
                             f"'from time import {alias.name}' imports a "
                             "wall-clock read"
                         ))
@@ -60,12 +49,12 @@ class WallClockRule(Rule):
             return
         base, _, attr = name.rpartition(".")
         if base in self.time_aliases and attr in _TIME_FUNCS:
-            yield self.finding(ctx, node, (
-                f"wall-clock read time.{attr}() in simulation code"
+            yield self.finding(path, node, (
+                f"wall-clock read time.{attr}()"
             ))
             return
         # datetime.datetime.now(), datetime.now(), date.today(), ...
         if attr in _DATETIME_ATTRS and base.split(".")[-1] in ("datetime", "date"):
-            yield self.finding(ctx, node, (
-                f"wall-clock read {base}.{attr}() in simulation code"
+            yield self.finding(path, node, (
+                f"wall-clock read {base}.{attr}()"
             ))

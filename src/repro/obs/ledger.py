@@ -96,8 +96,8 @@ def record_id(record: dict) -> str:
 def timed() -> Iterator[dict]:
     """Measure one run leg's wall-clock for its ledger record.
 
-    Sanctioned wall-clock use (``repro/obs``): the reading lands in
-    provenance/ledger data, never in simulation state."""
+    A monotonic ``perf_counter`` interval, which lint rule D003 allows:
+    the reading lands in ledger data, never in simulation state."""
     box: dict = {}
     start = perf_counter()
     try:

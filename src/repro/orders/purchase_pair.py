@@ -256,5 +256,4 @@ class TestOrderer:
         return OrderVolumeSeries(tracked.samples)
 
     def tracked_with_samples(self, minimum: int = 2) -> List[TrackedStore]:
-        # repro: allow-D005 insertion order is deterministic order-placement order; consumers aggregate or re-key, none rank by position
         return [t for t in self.tracked.values() if len(t.samples) >= minimum]

@@ -124,7 +124,6 @@ class IframeObfuscator:
         )
 
     def _split(self, text: str) -> list:
-        # repro: allow-D001 seed derives from the scenario seed + markup, so chunking is a pure function of (campaign, target)
         rng = random.Random(derive_seed(self._chunk_seed, text))
         chunks = []
         pos = 0
