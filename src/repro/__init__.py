@@ -25,8 +25,7 @@ __all__ = ["StudyRun", "StudyResults", "__version__"]
 
 def __getattr__(name):
     # Resolved on first use (PEP 562): the study stack imports numpy,
-    # scipy and networkx, which ``repro.lint`` and most CLI commands
-    # never need.
+    # which ``repro.lint`` and most CLI commands never need.
     if name in ("StudyRun", "StudyResults"):
         from repro import study
 

@@ -17,36 +17,51 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
-
-import networkx as nx
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.crawler.records import PsrDataset
 
 
-def build_infrastructure_graph(dataset: PsrDataset) -> "nx.Graph":
+def build_infrastructure_graph(dataset: PsrDataset) -> Dict[Tuple[str, str], int]:
     """Bipartite doorway<->store graph from PSR landings.
 
-    Node attribute ``kind`` is 'doorway' or 'store'; edge weight counts how
+    Maps each (doorway host, store host) edge, in first-seen order, to how
     many PSR observations connected the pair.  Stores sharing a doorway (or
     doorways sharing a store) end up in one component — including rotated
     store domains, which stay linked through their common doorways.
     """
-    graph = nx.Graph()
+    edges: Dict[Tuple[str, str], int] = {}
     for record in dataset.records:
-        if not record.is_store:
-            continue
-        doorway = f"d:{record.host}"
-        store = f"s:{record.landing_host}"
-        if not graph.has_node(doorway):
-            graph.add_node(doorway, kind="doorway", host=record.host)
-        if not graph.has_node(store):
-            graph.add_node(store, kind="store", host=record.landing_host)
-        if graph.has_edge(doorway, store):
-            graph[doorway][store]["weight"] += 1
-        else:
-            graph.add_edge(doorway, store, weight=1)
-    return graph
+        if record.is_store:
+            pair = (record.host, record.landing_host)
+            edges[pair] = edges.get(pair, 0) + 1
+    return edges
+
+
+def _components(edges: Dict[Tuple[str, str], int]) -> List[List[Tuple[str, str]]]:
+    """Connected components of the graph's ``(kind, host)`` nodes, by
+    union-find.  They come in the order of their earliest-seen node, the
+    order a graph search started from each unvisited node in first-seen
+    order yields them; ``tests/test_graph_reference.py`` pins it."""
+    parent: Dict[Tuple[str, str], Tuple[str, str]] = {}
+
+    def find(node: Tuple[str, str]) -> Tuple[str, str]:
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    for doorway, store in edges:
+        left, right = ("doorway", doorway), ("store", store)
+        parent.setdefault(left, left)
+        parent.setdefault(right, right)
+        left, right = find(left), find(right)
+        if left != right:
+            parent[right] = left
+    components: Dict[Tuple[str, str], List[Tuple[str, str]]] = {}
+    for node in parent:
+        components.setdefault(find(node), []).append(node)
+    return list(components.values())
 
 
 @dataclass
@@ -109,16 +124,12 @@ def cluster_infrastructure(
                 if record.is_store:
                     host_campaigns.setdefault(record.landing_host, record.campaign)
 
-    graph = build_infrastructure_graph(dataset)
+    components = _components(build_infrastructure_graph(dataset))
     clusters: List[InfrastructureCluster] = []
     campaign_cluster_count: Counter = Counter()
-    for index, component in enumerate(nx.connected_components(graph)):
-        doorways = sorted(
-            graph.nodes[n]["host"] for n in component if graph.nodes[n]["kind"] == "doorway"
-        )
-        stores = sorted(
-            graph.nodes[n]["host"] for n in component if graph.nodes[n]["kind"] == "store"
-        )
+    for index, component in enumerate(components):
+        doorways = sorted(host for kind, host in component if kind == "doorway")
+        stores = sorted(host for kind, host in component if kind == "store")
         mix: Counter = Counter()
         seen_campaigns: Set[str] = set()
         for host in doorways + stores:

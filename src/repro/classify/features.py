@@ -15,7 +15,6 @@ from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro.html.nodes import Comment, Element
 from repro.perf.cache import LRUCache, parse_html_cached
@@ -124,8 +123,10 @@ class Vocabulary:
 
 def vectorize(
     feature_maps: Sequence[Counter], vocabulary: Vocabulary, sublinear: bool = True
-) -> "sparse.csr_matrix":
-    """Sparse count matrix (rows = pages); optional 1+log(count) scaling."""
+):
+    """Sparse CSR count matrix (rows = pages); optional 1+log(count) scaling."""
+    from scipy import sparse  # only a classifying run loads scipy
+
     rows: List[int] = []
     cols: List[int] = []
     data: List[float] = []

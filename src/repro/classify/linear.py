@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -88,6 +87,8 @@ def fit_l1_logistic(
     order as a lone fit's: its weights, bias and iteration count are
     bit-identical whichever classes share the batch.
     """
+    from scipy import sparse  # only a classifying run loads scipy
+
     X = sparse.csr_matrix(X)
     XT = X.T
     Y = np.asarray(Y, dtype=np.float64)

@@ -47,9 +47,8 @@ from time import perf_counter
 from typing import List, Optional
 
 # The study stack (repro.study, .ecosystem, .crawler, .analysis) imports
-# numpy, scipy and networkx; the commands that run a study import it
-# themselves, so ``lint``, ``gate`` and the other ledger commands start
-# without it.
+# numpy; the commands that run a study import it themselves, so ``lint``,
+# ``gate`` and the other ledger commands start without it.
 from repro.faults import PROFILES, SimulatedCrash, profile_named
 from repro.lint import RULES, lint_paths
 from repro.obs.gate import (

@@ -11,9 +11,8 @@ testable input:
 * :mod:`repro.faults.injector` — a seeded injector whose every decision
   is a pure hash of (fault seed, fault kind, subject, day, attempt), so
   the same fault seed replays the same failures regardless of call order;
-* :mod:`repro.faults.retry` — capped, jittered exponential backoff drawn
-  from the sim RNG, a per-day retry budget, and a per-host circuit
-  breaker;
+* :mod:`repro.faults.retry` — a bounded number of attempts per fetch, a
+  per-day retry budget, and a per-host circuit breaker;
 * :mod:`repro.faults.checkpoint` — per-sim-day crash-safe checkpoints of
   the whole study state, one file rewritten atomically per save, with
   ``repro run --resume`` continuation that is byte-identical to an

@@ -47,8 +47,10 @@ from repro.util.perf import PERF
 #: Checkpoint schema, bumped when the layout or the pickled object graph
 #: changes.  Schema 1 was a single whole-graph pickle file; 2 and 3 a
 #: directory of content-defined chunks behind ``HEAD``; 4 is one header
-#: line plus the raw pickle in ``checkpoint.pkl``.
-CHECKPOINT_SCHEMA = 4
+#: line plus the raw pickle in ``checkpoint.pkl``; 5 keeps that layout,
+#: but each ``LinkFarm`` pickles node and edge lists, not a graph library's
+#: graph object, and ``ResilientFetcher`` no backoff stream.
+CHECKPOINT_SCHEMA = 5
 
 #: The one file a checkpoint directory holds.
 CHECKPOINT_FILE = "checkpoint.pkl"

@@ -1,4 +1,4 @@
-"""Retry policy: bounded backoff, per-day budget, per-host circuit breaker.
+"""Retry policy: bounded attempts, per-day budget, per-host circuit breaker.
 
 :class:`ResilientFetcher` wraps :meth:`repro.web.hosting.Web.fetch` for
 the measurement side of the pipeline (Dagger, VanGogh, landing fetches).
@@ -9,9 +9,8 @@ without the fault layer.  Under injection it:
 * asks the injector for pre-fetch faults (timeout / connection error /
   IP-block window) and synthesizes the failed :class:`Response` without
   touching the simulated web, so ground truth never observes the fault;
-* retries transient faults up to ``max_attempts`` with capped, jittered
-  exponential backoff — *simulated* seconds accumulated on
-  :attr:`simulated_backoff_s`, never ``time.sleep``;
+* retries transient faults up to ``max_attempts``, at once: a simulated
+  crawler has no wall-clock reason to wait, so nothing sleeps;
 * spends retries from a per-sim-day budget, and opens a per-host circuit
   breaker after repeated failures so a blocked host stops eating the
   budget until its cooldown (in sim days) expires.
@@ -19,12 +18,10 @@ without the fault layer.  Under injection it:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.util.perf import PERF
-from repro.util.rng import derive_seed
 from repro.util.simtime import SimDate
 from repro.web.fetch import Response, STATUS_UNREACHABLE, VisitorProfile
 from repro.web.hosting import FetchError
@@ -41,12 +38,6 @@ class RetryPolicy:
 
     #: Total attempts per fetch (first try included); always bounded.
     max_attempts: int = 3
-    #: First backoff, simulated seconds; doubles per attempt.
-    base_backoff_s: float = 2.0
-    #: Ceiling on a single backoff, simulated seconds.
-    backoff_cap_s: float = 60.0
-    #: Jitter fraction: backoff is scaled by uniform [1, 1 + jitter].
-    jitter: float = 0.5
     #: Retries allowed per sim day across all hosts.
     per_day_retry_budget: int = 500
     #: Consecutive failed fetches before a host's breaker opens.
@@ -58,15 +49,9 @@ class RetryPolicy:
 class ResilientFetcher:
     """Fault-aware fetch wrapper for the measurement crawlers."""
 
-    def __init__(self, web, policy: Optional[RetryPolicy] = None,
-                 rng: Optional[random.Random] = None):
+    def __init__(self, web, policy: Optional[RetryPolicy] = None):
         self.web = web
         self.policy = policy or RetryPolicy()
-        # Jitter stream: seed-derived, consumed only when a fault actually
-        # fires, so clean runs draw nothing and stay byte-identical.
-        self._rng = rng or random.Random(derive_seed(0, "faults", "retry-jitter"))
-        #: Simulated seconds spent backing off (reporting only).
-        self.simulated_backoff_s = 0.0
         self._failures: Dict[str, int] = {}
         self._breaker_open_until: Dict[str, int] = {}
         self._day_ordinal: Optional[int] = None
@@ -116,12 +101,6 @@ class ResilientFetcher:
                 break
             self._retries_today += 1
             PERF.count("faults.retried")
-            backoff = min(
-                policy.backoff_cap_s, policy.base_backoff_s * (2.0 ** attempt)
-            )
-            self.simulated_backoff_s += backoff * (
-                1.0 + policy.jitter * self._rng.random()
-            )
         assert response is not None
         self._note_failure(host, day)
         PERF.count("faults.gave_up")

@@ -18,6 +18,9 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+# NumPy loads ``numpy.random`` on first use; loading it with this module
+# keeps that import out of the day loop and out of a checkpoint load.
+import numpy.random  # noqa: F401
 
 from repro.util.rng import RandomStreams
 from repro.search.index import IndexedEntry

@@ -18,9 +18,9 @@ rather than a drawn constant.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
-import networkx as nx
+import numpy as np
 
 from repro.util.rng import RandomStreams
 
@@ -30,6 +30,44 @@ AUTHORITY_FLOOR = 0.05
 AUTHORITY_CAP = 0.55
 
 
+def pagerank(
+    n: int,
+    sources: Sequence[int],
+    targets: Sequence[int],
+    alpha: float = 0.85,
+    max_iter: int = 100,
+    tol: float = 1.0e-6,
+) -> np.ndarray:
+    """PageRank of nodes ``0..n-1`` over the edges ``sources[i] -> targets[i]``
+    (no edge given twice).
+
+    The sparse-matrix power iteration of the reference PageRank that
+    ``tests/test_graph_reference.py`` compares it to, bit for bit: each
+    edge carries ``1/outdeg`` of its source; ``x @ A`` adds each target's
+    terms in source order, as a CSC matrix-vector product does, hence the
+    stable sort; the dangling mass is summed left to right by builtin
+    ``sum`` and spread uniformly; it stops once the L1 change falls under
+    ``n * tol``.
+    """
+    src = np.asarray(sources, dtype=np.intp)
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], np.asarray(targets, dtype=np.intp)[order]
+    outdeg = np.bincount(src, minlength=n).astype(float)
+    weight = 1.0 / outdeg[src]
+    dangling = np.flatnonzero(outdeg == 0)
+    p = np.repeat(1.0 / n, n)
+    x = p
+    for _ in range(max_iter):
+        xlast = x
+        x = alpha * (
+            np.bincount(dst, weights=weight * x[src], minlength=n)
+            + sum(x[dangling]) * p
+        ) + (1 - alpha) * p
+        if np.absolute(x - xlast).sum() < n * tol:
+            return x
+    raise RuntimeError(f"PageRank did not converge in {max_iter} iterations")
+
+
 class LinkFarm:
     """One campaign's backlink network."""
 
@@ -37,44 +75,43 @@ class LinkFarm:
         if farm_size < 2:
             raise ValueError("farm_size must be >= 2")
         self.campaign = campaign
+        self.farm_size = farm_size
         self._rng = streams.child(f"linkfarm:{campaign}").get("build")
-        self.graph: "nx.DiGraph" = nx.DiGraph()
-        self._doorway_hosts: List[str] = []
+        #: Farm sites ``farm:0``, ``farm:1``, ..., then doorway hosts, in
+        #: insertion order; an edge is a position in ``_sources`` and
+        #: ``_targets``, which hold node positions.
+        self._nodes: List[str] = [f"farm:{i}" for i in range(farm_size)]
+        self._sources: List[int] = []
+        self._targets: List[int] = []
         self._pagerank: Optional[Dict[str, float]] = None
-        for index in range(farm_size):
-            self.graph.add_node(f"farm:{index}", kind="farm")
         # Farm core: sparse random interlinking (splogs cite each other).
-        nodes = [f"farm:{i}" for i in range(farm_size)]
-        for node in nodes:
-            for target in self._rng.sample(nodes, min(3, farm_size - 1)):
+        for node in range(farm_size):
+            for target in self._rng.sample(range(farm_size), min(3, farm_size - 1)):
                 if target != node:
-                    self.graph.add_edge(node, target)
-
-    @property
-    def farm_size(self) -> int:
-        return sum(1 for _, kind in self.graph.nodes(data="kind") if kind == "farm")
+                    self._sources.append(node)
+                    self._targets.append(target)
 
     def add_doorway(self, host: str, backlinks: Optional[int] = None) -> int:
         """Point farm sites at a new dedicated doorway; returns the number
         of backlinks created."""
-        if host in self._doorway_hosts:
+        if host in self.doorway_hosts():
             raise ValueError(f"doorway {host!r} already in the farm")
-        farm_nodes = [n for n, k in self.graph.nodes(data="kind") if k == "farm"]
+        farm_size = self.farm_size
         if backlinks is None:
-            backlinks = self._rng.randint(
-                max(2, len(farm_nodes) // 6), max(3, len(farm_nodes) // 2)
-            )
-        backlinks = min(backlinks, len(farm_nodes))
-        self.graph.add_node(host, kind="doorway")
-        for source in self._rng.sample(farm_nodes, backlinks):
-            self.graph.add_edge(source, host)
-        self._doorway_hosts.append(host)
+            backlinks = self._rng.randint(max(2, farm_size // 6), max(3, farm_size // 2))
+        backlinks = min(backlinks, farm_size)
+        target = len(self._nodes)
+        self._nodes.append(host)
+        for source in self._rng.sample(range(farm_size), backlinks):
+            self._sources.append(source)
+            self._targets.append(target)
         self._pagerank = None  # invalidate
         return backlinks
 
     def _ranks(self) -> Dict[str, float]:
         if self._pagerank is None:
-            self._pagerank = nx.pagerank(self.graph, alpha=0.85)
+            ranks = pagerank(len(self._nodes), self._sources, self._targets)
+            self._pagerank = dict(zip(self._nodes, map(float, ranks)))
         return self._pagerank
 
     def link_equity(self, host: str) -> float:
@@ -88,9 +125,10 @@ class LinkFarm:
         return min(AUTHORITY_CAP, authority)
 
     def doorway_hosts(self) -> List[str]:
-        return list(self._doorway_hosts)
+        return self._nodes[self.farm_size:]
 
     def backlink_count(self, host: str) -> int:
-        if host not in self.graph:
+        """The node's in-degree (0 if unknown)."""
+        if host not in self._nodes:
             return 0
-        return self.graph.in_degree(host)
+        return self._targets.count(self._nodes.index(host))

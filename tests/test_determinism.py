@@ -21,11 +21,17 @@ Two checks hold the study to the determinism the paper tables rest on:
   wrapped to record, per full stream path, the first module outside
   ``repro.util.rng`` on the stack, over a small study with every
   intervention drawing.
+* **Firm order.** The small preset has one seizure firm, so its tables
+  cannot show a firm-order bug.  A two-firm leg (its firm's policy split
+  between GBC and SMGPA) runs under two hash seeds that order a bare set
+  of the two names differently; Table 3 and the rotation reactions must
+  list the firms sorted under both.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import subprocess
 import sys
@@ -127,6 +133,59 @@ class TestSameBytes:
             f"{len(differing)} of {len(names_a | names_b)} disk entries "
             f"differ by name between hash seeds, e.g. {differing[:5]}"
         )
+
+
+# --------------------------------------------------------------------- #
+# Firm order
+# --------------------------------------------------------------------- #
+
+#: The small preset with its seizure firm's clients split between two
+#: firms under the same policy.  Prints Table 3 and the rotation
+#: reactions' firms in the order the analyses return them, and the order
+#: of a bare set of the firms the PSRs name.
+_TWO_FIRMS = """
+import dataclasses, json
+from repro import StudyRun
+from repro.analysis import rotation_reactions
+from repro.ecosystem import small_preset
+config = small_preset()
+(gbc,) = config.firms
+config.firms = [
+    dataclasses.replace(gbc, clients=["Louis Vuitton", "Uggs"]),
+    dataclasses.replace(gbc, name="SMGPA", clients=["Beats By Dre"]),
+]
+results = StudyRun(config).execute()
+records = results.dataset.records
+print(json.dumps({
+    "table3": list(results.headline()["table3"].items()),
+    "reactions": [row.firm for row in rotation_reactions(results.dataset)],
+    "set_order": list({r.seizure_firm for r in records if r.seizure_firm}),
+}))
+"""
+
+
+def test_two_firms_listed_in_sorted_order_under_any_hash_seed():
+    with contextlib.ExitStack() as stack:
+        procs = [
+            stack.enter_context(subprocess.Popen(
+                [sys.executable, "-c", _TWO_FIRMS], cwd=REPO_ROOT,
+                env=_env(PYTHONHASHSEED=seed), stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True))
+            for seed in ("0", "3")
+        ]
+        outs = []
+        for proc in procs:
+            stdout, stderr = proc.communicate()
+            assert proc.returncode == 0, stderr
+            outs.append(json.loads(stdout))
+    # The two hash seeds must order the bare set differently, or the leg
+    # could not see a firm-order bug.
+    assert outs[0]["set_order"] != outs[1]["set_order"]
+    for out in outs:
+        assert [firm for firm, _ in out["table3"]] == ["GBC", "SMGPA"]
+        assert all(row["cases"] > 0 for _, row in out["table3"])
+        assert out["reactions"] == ["GBC", "SMGPA"]
+        assert out["table3"] == outs[0]["table3"]
 
 
 # --------------------------------------------------------------------- #

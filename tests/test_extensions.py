@@ -174,10 +174,14 @@ class TestTermBias:
 
 class TestInfrastructureGraph:
     def test_graph_is_bipartite_shaped(self, study):
-        graph = build_infrastructure_graph(study.dataset)
-        for left, right in graph.edges():
-            kinds = {graph.nodes[left]["kind"], graph.nodes[right]["kind"]}
-            assert kinds == {"doorway", "store"}
+        """Every edge joins a PSR's doorway host to the store it landed
+        on, weighted by how many PSRs did."""
+        edges = build_infrastructure_graph(study.dataset)
+        landings = [(r.host, r.landing_host)
+                    for r in study.dataset.records if r.is_store]
+        assert edges
+        assert list(edges) == list(dict.fromkeys(landings))
+        assert all(edges[pair] == landings.count(pair) for pair in edges)
 
     def test_components_match_ground_truth_campaigns(self, study):
         """Infrastructure is not shared across campaigns, so each component

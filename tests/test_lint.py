@@ -239,5 +239,38 @@ class TestStartup(unittest.TestCase):
             repro.NoSuchName
 
 
+#: A small study in a fresh interpreter, with the persistent cache tier
+#: on, as perfbench's ``rerun-warm`` workload runs it.
+_STUDY = """
+import sys, tempfile
+from repro import StudyRun
+from repro.ecosystem import small_preset
+from repro.perf.cache import set_disk_cache
+with tempfile.TemporaryDirectory() as tmp:
+    set_disk_cache(tmp)
+    StudyRun(small_preset(days=14), classify={classify}).execute()
+"""
+
+
+class TestStudyImports(unittest.TestCase):
+    """A study loads only what it runs: scipy only to classify, and
+    networkx never."""
+
+    def _imports(self, classify):
+        proc, names = imported_modules("-c", _STUDY.format(classify=classify))
+        self.assertEqual(proc.returncode, 0, proc.stderr[-2000:])
+        self.assertIn("repro.classify.features", names)
+        return names
+
+    def test_crawl_only_run_skips_scipy_and_networkx(self):
+        names = self._imports(classify=False)
+        self.assertFalse({n for n in names if n.split(".")[0] in ("scipy", "networkx")})
+
+    def test_classifying_run_loads_scipy(self):
+        names = self._imports(classify=True)
+        self.assertIn("scipy", names)
+        self.assertNotIn("networkx", names)
+
+
 if __name__ == "__main__":
     unittest.main()

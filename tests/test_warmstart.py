@@ -478,7 +478,7 @@ class TestDeltaCheckpoint(DiskTierBase):
         ``chunks/``, schemas 2 and 3) is refused up front, naming both
         schemas; ``clear`` still removes it, and refuses a directory that
         holds neither it nor a checkpoint file."""
-        self.assertEqual(CHECKPOINT_SCHEMA, 4)
+        self.assertEqual(CHECKPOINT_SCHEMA, 5)
         for schema in (2, 3):
             with self.subTest(schema=schema), tempfile.TemporaryDirectory() as tmp:
                 ckpt = os.path.join(tmp, "run.ckpt")
@@ -489,7 +489,7 @@ class TestDeltaCheckpoint(DiskTierBase):
                     load_checkpoint(ckpt, small_preset(days=DAYS))
                 message = str(caught.exception)
                 self.assertIn(f"schema {schema}", message)
-                self.assertIn("supported 4", message)
+                self.assertIn("supported 5", message)
                 Checkpointer(ckpt, small_preset(days=DAYS)).clear()
                 self.assertFalse(os.path.exists(ckpt))
         with tempfile.TemporaryDirectory() as tmp:
@@ -497,6 +497,21 @@ class TestDeltaCheckpoint(DiskTierBase):
             with self.assertRaises(CheckpointError):
                 Checkpointer(tmp, small_preset(days=DAYS)).clear()
             self.assertTrue(Path(tmp, "notes.txt").exists())
+
+    def test_schema4_checkpoint_refused(self):
+        """A one-file checkpoint of schema 4 pickled each ``LinkFarm`` as a
+        networkx graph; its header is refused before the payload is read."""
+        config = small_preset(days=DAYS)
+        with tempfile.TemporaryDirectory() as tmp:
+            ckpt = os.path.join(tmp, "run.ckpt")
+            Checkpointer(ckpt, config).save(_bare_simulator(), [], 0, SimDate("2013-11-13"))
+            path = Path(ckpt, CHECKPOINT_FILE)
+            head, blob = path.read_bytes().split(b"\n", 1)
+            header = dict(json.loads(head), schema=4)
+            path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
+            with self.assertRaises(CheckpointError) as caught:
+                load_checkpoint(ckpt, config)
+            self.assertEqual(str(caught.exception), "checkpoint schema 4 != supported 5")
 
     def test_payload_naming_a_missing_class_refused(self):
         """A payload that passes every digest check but pickles a class
