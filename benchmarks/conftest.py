@@ -1,9 +1,9 @@
 """Benchmark fixtures.
 
 The full paper-preset study (16 verticals, 52 labeled + background
-campaigns, 245 days) runs once per benchmark session at a reduced scale;
-every table/figure benchmark then measures its *analysis* computation and
-prints the paper-vs-measured comparison.
+campaigns, 245 days) runs once per session at a reduced scale; every
+table/figure test then runs its *analysis* computation and prints the
+paper-vs-measured comparison.
 
 Scale note: the paper crawled 100 terms/vertical daily with thousands of
 doorways; the benchmark scenario uses SCALE=0.25 of the doorway/store

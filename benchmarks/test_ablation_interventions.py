@@ -24,12 +24,8 @@ from repro.reporting import render_table
 from benchlib import print_comparison
 
 
-def test_intervention_ablations(benchmark):
-    outcomes = benchmark.pedantic(
-        run_intervention_ablations,
-        args=(lambda: small_preset(days=70),),
-        rounds=1, iterations=1,
-    )
+def test_intervention_ablations():
+    outcomes = run_intervention_ablations(lambda: small_preset(days=70))
     by_name = {o.name: o for o in outcomes}
     baseline = by_name["baseline"]
 

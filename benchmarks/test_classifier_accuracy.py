@@ -11,19 +11,15 @@ from repro.classify import cross_validate_accuracy, extract_features
 from benchlib import print_comparison
 
 
-def test_classifier_cross_validation(benchmark, paper_study):
+def test_classifier_cross_validation(paper_study):
     labeled = paper_study.labeled_pages
     assert len(labeled) >= 100
     feature_maps = [extract_features(p.html) for p in labeled]
     labels = [p.campaign for p in labeled]
     classes = len(set(labels))
 
-    accuracy, fold_scores = benchmark.pedantic(
-        cross_validate_accuracy,
-        args=(feature_maps, labels),
-        kwargs={"k": 10, "seed": 7},
-        rounds=1, iterations=1,
-    )
+    accuracy, fold_scores = cross_validate_accuracy(
+        feature_maps, labels, k=10, seed=7)
 
     chance = 1.0 / classes
     print_comparison(
@@ -43,11 +39,11 @@ def test_classifier_cross_validation(benchmark, paper_study):
     assert min(fold_scores) > chance * 5
 
 
-def test_model_sparsity(benchmark, paper_study):
+def test_model_sparsity(paper_study):
     classifier = paper_study.classifier
     assert classifier is not None
 
-    sparsity = benchmark(classifier.model.sparsity)
+    sparsity = classifier.model.sparsity()
     vocab = len(classifier.vocabulary)
     mean_nonzero = sum(sparsity.values()) / len(sparsity)
     print_comparison(

@@ -26,11 +26,9 @@ PAPER_CLASSIFIED_FRACTION = {
 
 
 @pytest.mark.parametrize("vertical", FIGURE2_VERTICALS)
-def test_fig2_stacked_campaign_attribution(benchmark, paper_study, vertical):
+def test_fig2_stacked_campaign_attribution(paper_study, vertical):
     aggregates = DailyAggregates(paper_study.dataset)
-    stacked = benchmark(
-        stacked_attribution, paper_study.dataset, vertical, 5, aggregates
-    )
+    stacked = stacked_attribution(paper_study.dataset, vertical, 5, aggregates)
     assert stacked.ordinals, f"no crawl coverage for {vertical}"
 
     total_series = [stacked.total_poisoned(i) for i in range(len(stacked.ordinals))]

@@ -22,7 +22,7 @@ PAPER_MAXIMA = {
 }
 
 
-def test_fig3_poisoning_sparklines(benchmark, paper_study):
+def test_fig3_poisoning_sparklines(paper_study):
     aggregates = DailyAggregates(paper_study.dataset)
     verticals = paper_study.dataset.verticals()
 
@@ -35,7 +35,7 @@ def test_fig3_poisoning_sparklines(benchmark, paper_study):
             for vertical in verticals
         }
 
-    extremes = benchmark(build_all)
+    extremes = build_all()
 
     print()
     print("Figure 3 (measured) — % of search results poisoned")

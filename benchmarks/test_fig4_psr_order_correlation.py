@@ -26,11 +26,10 @@ PAPER_PANELS = {
 
 
 @pytest.mark.parametrize("campaign", FIGURE4_CAMPAIGNS)
-def test_fig4_campaign_panel(benchmark, paper_study, campaign):
+def test_fig4_campaign_panel(paper_study, campaign):
     aggregates = DailyAggregates(paper_study.dataset)
-    panel = benchmark(
-        campaign_figure4, paper_study.dataset, paper_study.orderer, campaign,
-        4, 7, aggregates,
+    panel = campaign_figure4(
+        paper_study.dataset, paper_study.orderer, campaign, 4, 7, aggregates,
     )
     ordinals = sorted(panel.top100_series)
     assert ordinals, f"{campaign} never appeared in crawled SERPs"

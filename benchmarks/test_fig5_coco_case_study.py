@@ -25,8 +25,8 @@ def _pick_case(paper_study):
     return case
 
 
-def test_fig5_rotating_store(benchmark, paper_study):
-    case = benchmark(_pick_case, paper_study)
+def test_fig5_rotating_store(paper_study):
+    case = _pick_case(paper_study)
     assert case is not None, "no rotating store tracked"
 
     print()
@@ -65,7 +65,7 @@ def _monotone(points):
     return all(a <= b for a, b in zip(values, values[1:]))
 
 
-def test_conversion_funnel(benchmark, paper_study):
+def test_conversion_funnel(paper_study):
     world = paper_study.world
     candidates = [
         t.key for t in paper_study.orderer.tracked_with_samples(minimum=3)
@@ -86,7 +86,7 @@ def test_conversion_funnel(benchmark, paper_study):
                 best = metrics
         return best
 
-    metrics = benchmark(best_metrics)
+    metrics = best_metrics()
     assert metrics is not None
 
     crawl_fraction = (

@@ -13,10 +13,9 @@ from repro.reporting import sparkline
 from benchlib import print_comparison
 
 
-def test_fig6_seizure_order_curves(benchmark, paper_study):
-    case = benchmark(
-        seizure_order_case_study, paper_study.dataset, paper_study.orderer,
-        "PHP?P=", 4, paper_study.world,
+def test_fig6_seizure_order_curves(paper_study):
+    case = seizure_order_case_study(
+        paper_study.dataset, paper_study.orderer, "PHP?P=", 4, paper_study.world,
     )
     assert case.stores, "no PHP?P= stores tracked"
 

@@ -12,14 +12,14 @@ from repro.analysis import label_coverage, label_lifetimes, root_only_undercount
 from benchlib import print_comparison
 
 
-def test_label_coverage_and_gap(benchmark, paper_study):
+def test_label_coverage_and_gap(paper_study):
     def analyze():
         return (
             label_coverage(paper_study.dataset),
             root_only_undercount(paper_study.dataset),
         )
 
-    coverage, gap = benchmark(analyze)
+    coverage, gap = analyze()
 
     print_comparison(
         "Section 5.2.2 labeling",
@@ -38,8 +38,8 @@ def test_label_coverage_and_gap(benchmark, paper_study):
     assert 0.2 < gap.undercount_fraction < 4.0
 
 
-def test_label_lifetimes(benchmark, paper_study):
-    lifetimes = benchmark(label_lifetimes, paper_study.dataset)
+def test_label_lifetimes(paper_study):
+    lifetimes = label_lifetimes(paper_study.dataset)
 
     print_comparison(
         "Section 5.2.2 doorway lifetimes before labeling",

@@ -12,8 +12,8 @@ from repro.analysis import rotation_reactions, seized_store_lifetimes
 from benchlib import print_comparison
 
 
-def test_seized_store_lifetimes(benchmark, paper_study):
-    stats = benchmark(seized_store_lifetimes, paper_study.dataset)
+def test_seized_store_lifetimes(paper_study):
+    stats = seized_store_lifetimes(paper_study.dataset)
     assert stats, "no seizures observed in crawled PSRs"
 
     comparison = []
@@ -32,7 +32,7 @@ def test_seized_store_lifetimes(benchmark, paper_study):
         assert s.mean_lower_days <= s.mean_upper_days
 
 
-def test_seizure_coverage_small(benchmark, paper_study):
+def test_seizure_coverage_small(paper_study):
     def coverage():
         seized = {
             r.landing_host for r in paper_study.dataset.records if r.seizure_case
@@ -40,7 +40,7 @@ def test_seizure_coverage_small(benchmark, paper_study):
         stores = paper_study.dataset.store_hosts()
         return len(seized), len(stores)
 
-    seized_count, store_count = benchmark(coverage)
+    seized_count, store_count = coverage()
     fraction = seized_count / max(1, store_count)
     print_comparison(
         "Section 5.3.1 seizure coverage",
@@ -55,8 +55,8 @@ def test_seizure_coverage_small(benchmark, paper_study):
     assert fraction < 0.35
 
 
-def test_rotation_reactions(benchmark, paper_study):
-    stats = benchmark(rotation_reactions, paper_study.dataset)
+def test_rotation_reactions(paper_study):
+    stats = rotation_reactions(paper_study.dataset)
     assert stats
 
     paper = {"GBC": ("130/214 redirected, 7d", 7.0), "SMGPA": ("57/76, 15d", 15.0)}

@@ -11,11 +11,11 @@ from repro.analysis.supplier import supplier_summary
 from benchlib import print_comparison
 
 
-def test_supplier_shipment_census(benchmark, paper_study):
+def test_supplier_shipment_census(paper_study):
     supplier = paper_study.supplier
     assert supplier is not None
 
-    records = benchmark(supplier.scrape_all)
+    records = supplier.scrape_all()
     summary = supplier_summary(records)
 
     top3 = sorted(summary.by_destination.items(), key=lambda kv: -kv[1])[:3]

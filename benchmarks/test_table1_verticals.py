@@ -32,9 +32,9 @@ PAPER_TABLE1 = {
 }
 
 
-def test_table1_vertical_census(benchmark, paper_study):
+def test_table1_vertical_census(paper_study):
     aggregates = DailyAggregates(paper_study.dataset)
-    rows = benchmark(vertical_table, paper_study.dataset, aggregates)
+    rows = vertical_table(paper_study.dataset, aggregates)
 
     by_name = {r.vertical: r for r in rows}
     print()

@@ -25,12 +25,11 @@ PAPER_TABLE2 = {
 }
 
 
-def test_table2_campaign_census(benchmark, paper_study):
+def test_table2_campaign_census(paper_study):
     brand_names = [b.name for b in paper_study.world.brand_catalog.all()]
     aggregates = DailyAggregates(paper_study.dataset)
-    rows = benchmark(
-        campaign_table, paper_study.dataset, paper_study.archive, brand_names,
-        1, aggregates,
+    rows = campaign_table(
+        paper_study.dataset, paper_study.archive, brand_names, 1, aggregates,
     )
     rows.sort(key=lambda r: -r.doorways)
     print()

@@ -18,8 +18,8 @@ PAPER_TABLE3 = {
 }
 
 
-def test_table3_seizure_census(benchmark, paper_study):
-    rows = benchmark(seizure_table, paper_study.dataset, paper_study.crawler)
+def test_table3_seizure_census(paper_study):
+    rows = seizure_table(paper_study.dataset, paper_study.crawler)
     print()
     print(render_table(
         ["Firm", "# Cases", "# Brands", "# Seized", "# Stores",

@@ -35,10 +35,8 @@ from repro.ecosystem.simulator import Simulator
 from repro.crawler.serp_crawler import CrawlPolicy, SearchCrawler
 from repro.interventions.search_ops import SearchOpsPolicy
 from repro.interventions.payments import PaymentPolicy
-from repro.obs.trace import TRACER, set_tracing_enabled, tracing_enabled
 from repro.perf.cache import caches_enabled, set_caches_enabled
 from repro.perf.gctune import low_pause_gc
-from repro.util.perf import PERF
 
 
 @dataclass
@@ -76,8 +74,7 @@ def run_ablation(
 ) -> AblationOutcome:
     """Run one scenario variant and collect the outcome metrics."""
     with low_pause_gc():
-        with TRACER.span("ablation", variant=name):
-            outcome = _run_ablation(name, config, crawl_stride)
+        outcome = _run_ablation(name, config, crawl_stride)
     # The variant's world is garbage now and full of reference cycles (a
     # store's page factory is bound to its campaign, which lists the
     # store).  Only a full pass frees them, and the next variant's
@@ -199,27 +196,16 @@ VARIANT_ORDER = (
 )
 
 
-def _run_variant(
-    task: Tuple[str, ScenarioConfig, int, bool, bool],
-) -> Tuple[AblationOutcome, Dict[str, int], List[dict]]:
+def _run_variant(task: Tuple[str, ScenarioConfig, int, bool]) -> AblationOutcome:
     """Pool worker: one variant end to end, in its own process.
 
-    Module-level (picklable) on purpose.  The parent's cache and tracing
-    switches ride in the task tuple because a programmatic toggle would
-    not survive a spawn-context child; the worker sends its PERF counters
-    and exported spans back so cache hit rates and trace trees from all
-    processes land in the parent registry/tracer.
+    Module-level (picklable) on purpose.  The parent's cache switch rides
+    in the task tuple because a programmatic toggle would not survive a
+    spawn-context child.
     """
-    name, config, crawl_stride, cache_on, trace_on = task
+    name, config, crawl_stride, cache_on = task
     set_caches_enabled(cache_on)
-    set_tracing_enabled(trace_on)
-    # A fork-context child inherits the parent's registry, and a pool
-    # worker is reused across variants; reset both so the counters and
-    # spans sent back are this variant's own, not accumulated state.
-    TRACER.reset()
-    PERF.reset()
-    outcome = run_ablation(name, config, crawl_stride)
-    return outcome, PERF.counters(), TRACER.export()
+    return run_ablation(name, config, crawl_stride)
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -249,17 +235,7 @@ def run_intervention_ablations(
     if jobs <= 1:
         return [run_ablation(name, variants[name], crawl_stride)
                 for name in VARIANT_ORDER]
-    tasks = [(name, variants[name], crawl_stride, caches_enabled(),
-              tracing_enabled())
+    tasks = [(name, variants[name], crawl_stride, caches_enabled())
              for name in VARIANT_ORDER]
     with _pool_context().Pool(processes=min(jobs, len(tasks))) as pool:
-        paired = pool.map(_run_variant, tasks)
-    # Fold worker-side cache counters into the parent registry (integer
-    # sums commute, so the merged totals are schedule-independent), and
-    # adopt worker span trees in submission (= VARIANT_ORDER) order so the
-    # merged trace is deterministic for any job count.
-    for track, (_, counters, spans) in enumerate(paired, start=1):
-        for name, value in sorted(counters.items()):
-            PERF.count(name, value)
-        TRACER.adopt(spans, track=track)
-    return [outcome for outcome, _, _ in paired]
+        return pool.map(_run_variant, tasks)

@@ -4,32 +4,29 @@ Commands:
 
 * ``run`` — execute the full study pipeline and write the measurement
   artifacts (PSR dataset, tables, sparklines, summary) to a directory;
+  ``--trace`` also records span traces, prints the hierarchical phase
+  tree (:mod:`repro.obs.trace`), the one timer report: each PERF timer
+  shows as a ``·`` leaf under the span that accrued it, and writes
+  ``trace.json`` (Chrome/Perfetto ``trace_event`` JSON), ``metrics.jsonl``
+  (the per-sim-day series) and ``manifest.json`` beside the artifacts;
 * ``ablations`` — run the intervention-policy counterfactuals and print
   the comparison table;
-* ``trace`` — run a study with span tracing on and print the hierarchical
-  phase tree (:mod:`repro.obs.trace`), the one timer report: each PERF
-  timer shows as a ``·`` leaf under the span that accrued it; ``--json``
-  exports Chrome/Perfetto ``trace_event`` JSON, ``--metrics`` the
-  per-sim-day series;
 * ``chaos`` — run the same scenario clean and under a named fault profile
   (:mod:`repro.faults`), report injected/retried/degraded counters, and
   assert the resilience invariants (determinism, headline tolerance);
 * ``gate`` — compare the latest run-ledger record against the committed
   baseline (``baselines/gate.json``) with per-table tolerance bands
   (:mod:`repro.obs.gate`); exit 1 on drift, 2 on missing inputs;
-* ``history`` — render the ledger's record list and per-metric
-  trajectories as sparklines;
-* ``compare`` — diff two ledger records metric by metric;
 * ``lint`` — run the per-file determinism rules (:mod:`repro.lint`) over
   the given paths; exits non-zero on findings.
 
 ``run`` and ``chaos`` append one record per completed run to the ledger
 named by ``--ledger`` / ``REPRO_LEDGER`` (no ledger → no append), which
-is what ``gate``/``history``/``compare`` read.
+is what ``gate`` reads.
 
-``run``, ``trace`` and ``chaos`` take ``--disk-cache DIR``, the
-persistent cache tier (:mod:`repro.perf.diskcache`) that lets a later
-run warm-start; ``rm -r DIR`` clears it.
+``run`` and ``chaos`` take ``--disk-cache DIR``, the persistent cache
+tier (:mod:`repro.perf.diskcache`) that lets a later run warm-start;
+``rm -r DIR`` clears it.
 
 ``run`` also carries the crash-safety knobs: ``--checkpoint`` persists
 per-sim-day state, ``--resume`` continues a killed run from it, and
@@ -43,43 +40,25 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from time import perf_counter
 from typing import List, Optional
 
 # The study stack (repro.study, .ecosystem, .crawler, .analysis) imports
-# numpy; the commands that run a study import it themselves, so ``lint``,
-# ``gate`` and the other ledger commands start without it.
+# numpy; the commands that run a study import it themselves, so ``lint``
+# and ``gate`` start without it.
 from repro.faults import PROFILES, SimulatedCrash, profile_named
 from repro.lint import RULES, lint_paths
-from repro.obs.gate import (
-    gate_history,
-    load_baseline,
-    run_gate,
-    write_baseline,
-)
-from repro.obs.ledger import (
-    LEDGER_ENV,
-    RunLedger,
-    build_study_record,
-    shown_metrics,
-    timed,
-)
+from repro.obs.gate import load_baseline, run_gate, write_baseline
+from repro.obs.ledger import LEDGER_ENV, RunLedger, build_study_record
 from repro.obs.manifest import run_manifest
 from repro.obs.trace import TRACER, set_tracing_enabled
 from repro.perf.cache import set_caches_enabled, set_disk_cache
-from repro.reporting import (
-    render_drift_table,
-    render_history,
-    render_record_diff,
-    render_table,
-    sparkline_row,
-)
+from repro.reporting import render_drift_table, render_table, sparkline_row
 from repro.util.atomicio import atomic_write
 from repro.util.perf import PERF
 
 
 def _add_study_args(parser: argparse.ArgumentParser) -> None:
-    """The scenario/knob options shared by run / trace / chaos."""
+    """The scenario/knob options shared by run and chaos."""
     parser.add_argument("--preset", choices=("small", "paper"), default="small")
     parser.add_argument("--scale", type=float, default=0.05,
                         help="paper-preset census scale (ignored for small)")
@@ -127,8 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the study pipeline and write artifacts")
     _add_study_args(run)
     run.add_argument("--trace", action="store_true",
-                     help="record span traces; writes trace.json + manifest.json "
-                          "next to the artifacts and prints the phase tree")
+                     help="record span traces; writes trace.json, metrics.jsonl "
+                          "and manifest.json next to the artifacts and prints "
+                          "the phase tree")
     run.add_argument("--out", default="study-output", help="output directory")
     run.add_argument("--profile", choices=sorted(PROFILES), default=None,
                      help="inject faults from a named profile into the "
@@ -156,20 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="disable the content-addressed caches")
     ablations.add_argument("--json", default=None, metavar="PATH",
                            help="write outcomes + run manifest as JSON")
-
-    trace = sub.add_parser(
-        "trace", help="run a traced study and print the span tree"
-    )
-    _add_study_args(trace)
-    trace.add_argument("--json", default=None, metavar="PATH",
-                       help="write Chrome/Perfetto trace_event JSON "
-                            "(open in chrome://tracing or ui.perfetto.dev)")
-    trace.add_argument("--metrics", default=None, metavar="PATH",
-                       help="write the per-sim-day metrics.jsonl series")
-    trace.add_argument("--counters", action="store_true",
-                       help="also show PERF counter deltas per span")
-    trace.add_argument("--sparklines", action="store_true",
-                       help="also print the per-sim-day series as sparklines")
 
     chaos = sub.add_parser(
         "chaos", help="run clean + fault-injected studies and compare"
@@ -210,33 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            "on a clean run)")
     gate.add_argument("--report", default=None, metavar="PATH",
                       help="also write the full drift report "
-                           "(values + ledger-history sparklines)")
-
-    history = sub.add_parser(
-        "history", help="render ledger record list + metric trajectories"
-    )
-    _add_ledger_args(history)
-    history.add_argument("paths", nargs="*",
-                         default=["psr.total", "psr.doorways", "psr.stores",
-                                  "wall_s"],
-                         help="metric dot-paths to sparkline "
-                              "(default: headline counts + wall time)")
-    history.add_argument("--kind", default=None,
-                         help="filter records by kind")
-    history.add_argument("--key", default=None,
-                         help="filter records by comparability key")
-    history.add_argument("--limit", type=int, default=32, metavar="N",
-                         help="show at most the last N records")
-
-    compare = sub.add_parser(
-        "compare", help="diff two ledger records metric by metric"
-    )
-    _add_ledger_args(compare)
-    compare.add_argument("ref_a", help="record: an integer shorter than six "
-                                       "characters is an index (-1 = latest); "
-                                       "anything else is a run-id prefix")
-    compare.add_argument("ref_b", help="record: index or run-id prefix, "
-                                       "read as for ref_a")
+                           "(every check's values and deltas)")
 
     lint = sub.add_parser(
         "lint", help="run the per-file determinism rules"
@@ -271,15 +211,16 @@ def command_run(args) -> int:
     from repro.crawler import CrawlPolicy
     from repro.study import StudyRun
 
+    for flag, given in (("--resume", args.resume),
+                        ("--die-after-day", args.die_after_day is not None)):
+        if given and args.checkpoint is None:
+            print(f"repro run: {flag} requires --checkpoint", file=sys.stderr)
+            return 2
     if args.no_cache:
         set_caches_enabled(False)
     _apply_disk_args(args)
     if args.trace:
         set_tracing_enabled(True)
-    if args.die_after_day is not None and args.checkpoint is None:
-        print("repro run: --die-after-day requires --checkpoint",
-              file=sys.stderr)
-        return 2
     config = _config_for(args)
     print(f"Running {args.preset} preset "
           f"({len(config.verticals)} verticals, "
@@ -297,8 +238,7 @@ def command_run(args) -> int:
         die_after_day=args.die_after_day,
     )
     try:
-        with timed() as clock:
-            results = study.execute()
+        results = study.execute()
     except SimulatedCrash:
         print(f"simulated crash after day index {args.die_after_day}; "
               f"checkpoint saved to {args.checkpoint} "
@@ -335,7 +275,7 @@ def command_run(args) -> int:
     ledger_path = _ledger_path(args)
     if ledger_path:
         record = RunLedger(ledger_path).append(build_study_record(
-            config, results, wall_s=clock["wall_s"], stride=args.stride,
+            config, results, stride=args.stride,
             preset=args.preset, profile=args.profile,
             fault_seed=args.fault_seed,
             # Fault-injected runs are their own kind: their headline
@@ -456,40 +396,6 @@ def command_ablations(args) -> int:
     return 0
 
 
-def command_trace(args) -> int:
-    from repro.crawler import CrawlPolicy
-    from repro.study import StudyRun
-
-    if args.no_cache:
-        set_caches_enabled(False)
-    _apply_disk_args(args)
-    set_tracing_enabled(True)
-    config = _config_for(args)
-    print(f"Tracing {args.preset} preset "
-          f"({len(config.verticals)} verticals, {len(config.window)} days, "
-          f"cache={'off' if args.no_cache else 'on'})...", flush=True)
-    start = perf_counter()
-    results = StudyRun(
-        config, crawl_policy=CrawlPolicy(stride_days=args.stride),
-    ).execute()
-    wall_s = perf_counter() - start
-    print(TRACER.render(show_counters=args.counters))
-    traced_s = TRACER.total_s()
-    print(f"\ntraced {traced_s:.3f}s of {wall_s:.3f}s wall-clock "
-          f"({traced_s / wall_s:.1%} coverage)")
-    if args.sparklines and results.metrics is not None:
-        print()
-        print(results.metrics.render_sparklines())
-    if args.json:
-        TRACER.dump_chrome_trace(args.json, manifest=run_manifest(config))
-        print(f"\nChrome trace written to {args.json} "
-              f"(open in chrome://tracing or ui.perfetto.dev)")
-    if args.metrics and results.metrics is not None:
-        results.metrics.write_jsonl(args.metrics)
-        print(f"Per-sim-day metrics written to {args.metrics}")
-    return 0
-
-
 def command_chaos(args) -> int:
     """Clean run vs fault-injected run of the same scenario.
 
@@ -523,11 +429,9 @@ def command_chaos(args) -> int:
     print(f"Chaos drill: {args.preset} preset, profile '{profile.name}' "
           f"(fault seed {args.fault_seed}, {len(config.window)} days)...",
           flush=True)
-    with timed() as clean_clock:
-        clean = run_study()
+    clean = run_study()
     counter_base = dict(PERF.counters())
-    with timed() as chaos_clock:
-        chaos = run_study(profile)
+    chaos = run_study(profile)
     fault_counters = {
         name: value - counter_base.get(name, 0)
         for name, value in sorted(PERF.counters().items())
@@ -594,13 +498,12 @@ def command_chaos(args) -> int:
     if ledger_path:
         ledger = RunLedger(ledger_path)
         ledger.append(build_study_record(
-            config, clean, wall_s=clean_clock["wall_s"], stride=args.stride,
-            preset=args.preset, kind="study",
+            config, clean, stride=args.stride, preset=args.preset,
+            kind="study",
         ))
         record = ledger.append(build_study_record(
-            config, chaos, wall_s=chaos_clock["wall_s"], stride=args.stride,
-            preset=args.preset, kind="chaos",
-            profile=profile.name, fault_seed=args.fault_seed,
+            config, chaos, stride=args.stride, preset=args.preset,
+            kind="chaos", profile=profile.name, fault_seed=args.fault_seed,
         ))
         print(f"\nLedger records (clean + chaos, latest {record['run_id']}) "
               f"appended to {ledger_path}")
@@ -625,8 +528,7 @@ def command_gate(args) -> int:
         print(f"repro gate: no ledger (pass --ledger or set ${LEDGER_ENV})",
               file=sys.stderr)
         return 2
-    ledger = RunLedger(ledger_path)
-    record = ledger.latest(kind=args.kind, key=args.key)
+    record = RunLedger(ledger_path).latest(kind=args.kind, key=args.key)
     if record is None:
         print(f"repro gate: {ledger_path}: no matching run record",
               file=sys.stderr)
@@ -662,13 +564,9 @@ def command_gate(args) -> int:
         with atomic_write(args.verdict) as handle:
             handle.write(verdict + "\n")
 
-    report_parts = [render_drift_table(
+    report = render_drift_table(
         result.checks, title=f"Drift report for {record['key']} "
-                             f"(run {record['run_id']})")]
-    series = gate_history(ledger, result.checks, key=record["key"],
-                          kind=record.get("kind"))
-    report_parts.append(render_history(series))
-    report = "\n\n".join(report_parts)
+                             f"(run {record['run_id']})")
     if args.report:
         with atomic_write(args.report) as handle:
             handle.write(report + "\n")
@@ -677,64 +575,6 @@ def command_gate(args) -> int:
         print()
         print(report)
         return 1
-    return 0
-
-
-def command_history(args) -> int:
-    """Ledger record list + per-metric trajectories."""
-    ledger_path = _ledger_path(args)
-    if not ledger_path:
-        print(f"repro history: no ledger "
-              f"(pass --ledger or set ${LEDGER_ENV})", file=sys.stderr)
-        return 2
-    ledger = RunLedger(ledger_path)
-    records = ledger.records(kind=args.kind, key=args.key)
-    if not records:
-        print(f"repro history: {ledger_path}: no matching run records",
-              file=sys.stderr)
-        return 2
-    shown = records[-args.limit:]
-    rows = []
-    for record in shown:
-        manifest = record.get("manifest") or {}
-        rows.append([
-            record.get("run_id", "?"),
-            record.get("kind", "?"),
-            str(record.get("key", "?"))[:24],
-            str(manifest.get("git_sha"))[:12],
-            f"{record['wall_s']:.1f}s" if record.get("wall_s") else "-",
-            manifest.get("created_at", "-"),
-        ])
-    print(render_table(
-        ["Run", "Kind", "Key", "Git", "Wall", "Created"],
-        rows, title=f"Ledger {ledger_path} "
-                    f"({len(shown)} of {len(records)} records)",
-    ))
-    series = ledger.history(args.paths, kind=args.kind, key=args.key)
-    series = {path: values[-args.limit:]
-              for path, values in sorted(series.items()) if values}
-    if series:
-        print()
-        print(render_history(series))
-    return 0
-
-
-def command_compare(args) -> int:
-    """Metric-by-metric diff of two ledger records."""
-    ledger_path = _ledger_path(args)
-    if not ledger_path:
-        print(f"repro compare: no ledger "
-              f"(pass --ledger or set ${LEDGER_ENV})", file=sys.stderr)
-        return 2
-    ledger = RunLedger(ledger_path)
-    try:
-        record_a = ledger.find(args.ref_a)
-        record_b = ledger.find(args.ref_b)
-    except LookupError as exc:
-        print(f"repro compare: {exc}", file=sys.stderr)
-        return 2
-    print(render_record_diff(record_a, record_b,
-                             shown_metrics(record_a), shown_metrics(record_b)))
     return 0
 
 
@@ -758,16 +598,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return command_run(args)
     if args.command == "ablations":
         return command_ablations(args)
-    if args.command == "trace":
-        return command_trace(args)
     if args.command == "chaos":
         return command_chaos(args)
     if args.command == "gate":
         return command_gate(args)
-    if args.command == "history":
-        return command_history(args)
-    if args.command == "compare":
-        return command_compare(args)
     if args.command == "lint":
         return command_lint(args)
     return 2

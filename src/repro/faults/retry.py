@@ -106,10 +106,6 @@ class ResilientFetcher:
         PERF.count("faults.gave_up")
         return response
 
-    #: Bound-method alias so a fetcher can stand in where a ``web`` is
-    #: only used for ``.fetch`` — kept for call-site symmetry.
-    __call__ = fetch
-
     # ------------------------------------------------------------------ #
 
     def _attempt(self, url, profile, day, attempt, injector) -> Response:

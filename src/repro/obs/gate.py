@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs.ledger import RunLedger, record_metrics
+from repro.obs.ledger import record_metrics
 from repro.util.atomicio import atomic_write
 
 #: Baseline file schema, bumped on field changes.
@@ -192,21 +192,7 @@ def write_baseline(path: str, records: Sequence[dict],
     return payload
 
 
-def extra_bands(baseline: dict) -> List[Band]:
-    """Optional per-repo band overrides carried in the baseline file,
-    checked before the defaults."""
-    bands = []
-    for spec in baseline.get("bands", []):
-        bands.append(Band(
-            pattern=spec["pattern"],
-            abs_tol=spec.get("abs_tol", 0.0),
-            rel_tol=spec.get("rel_tol", 0.0),
-        ))
-    return bands
-
-
-def run_gate(record: dict, baseline: dict,
-             bands: Optional[Sequence[Band]] = None) -> Optional[GateResult]:
+def run_gate(record: dict, baseline: dict) -> Optional[GateResult]:
     """Gate one ledger record against the baseline file's matching entry.
 
     Returns ``None`` when the baseline has no entry for the record's key
@@ -214,23 +200,5 @@ def run_gate(record: dict, baseline: dict,
     base_record = baseline.get("baselines", {}).get(record.get("key"))
     if base_record is None:
         return None
-    if bands is None:
-        bands = list(extra_bands(baseline)) + list(DEFAULT_BANDS)
-    checks = check_bands(record_metrics(record), record_metrics(base_record),
-                         bands=bands)
+    checks = check_bands(record_metrics(record), record_metrics(base_record))
     return GateResult(key=record["key"], checks=checks)
-
-
-def gate_history(ledger: RunLedger, checks: Sequence[BandCheck], key: str,
-                 kind: Optional[str] = None,
-                 limit: int = 32) -> Dict[str, List[float]]:
-    """Ledger history series for the gated paths (drift report sparklines).
-
-    Filtered by kind as well as key so chaos-run records of the same
-    scenario never blend into a study metric's trajectory."""
-    paths = [c.path for c in checks]
-    series = ledger.history(paths, kind=kind, key=key)
-    return {
-        path: values[-limit:]
-        for path, values in sorted(series.items()) if values
-    }

@@ -10,16 +10,14 @@ scenario:
   artifacts are byte-identical across the cache switches, so records stay
   comparable and any difference between two same-``key`` records is a
   code change, not a knob;
-* wall time, as provenance for ``repro history`` and ``repro compare``;
 * the **headline metrics** — :meth:`repro.study.StudyResults.headline`:
   PSR/doorway/store counts, Table 1–3 cells keyed by row, the PSR curve
   quantiles, store-lifetime quantiles.
 
 Records are keyed (``<config digest>/stride<N>``) so
 :mod:`repro.obs.gate` can band the latest record against a committed
-baseline, ``repro history`` can render a metric's trajectory across
-commits, and ``repro compare`` can diff any two records.  Where the time
-went is the span tree's business (``repro trace``), not the ledger's.
+baseline.  Where the time went is the span tree's business
+(``repro run --trace``), not the ledger's.
 
 Appends go through :func:`repro.util.atomicio.append_line` (single-write
 ``O_APPEND``); the loader tolerates torn or garbled lines anywhere in the
@@ -34,9 +32,7 @@ import json
 import os
 import warnings
 from hashlib import blake2b
-from time import perf_counter
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.util.atomicio import append_line
 
@@ -67,22 +63,8 @@ def flatten(tree: dict, prefix: str = "") -> Dict[str, float]:
 
 def record_metrics(record: dict) -> Dict[str, float]:
     """One record's deterministic, gate-visible metrics, flattened: its
-    headline tree.  Wall time is provenance, not a gated metric."""
+    headline tree."""
     return flatten(record.get("headline") or {})
-
-
-def shown_metrics(record: dict) -> Dict[str, float]:
-    """:func:`record_metrics` plus the run's ``wall_s``: what ``repro
-    history`` and ``repro compare`` show, though the gate bands none of
-    the wall time."""
-    flat = record_metrics(record)
-    if record.get("wall_s") is not None:
-        flat["wall_s"] = record["wall_s"]
-    return flat
-
-
-#: Refs at least this long are run-id prefixes, never indexes.
-_MIN_ID_PREFIX = 6
 
 
 def record_id(record: dict) -> str:
@@ -90,20 +72,6 @@ def record_id(record: dict) -> str:
     stripped = {k: v for k, v in record.items() if k != "run_id"}
     blob = json.dumps(stripped, sort_keys=True, default=str).encode("utf-8")
     return blake2b(blob, digest_size=6).hexdigest()
-
-
-@contextmanager
-def timed() -> Iterator[dict]:
-    """Measure one run leg's wall-clock for its ledger record.
-
-    A monotonic ``perf_counter`` interval, which lint rule D003 allows:
-    the reading lands in ledger data, never in simulation state."""
-    box: dict = {}
-    start = perf_counter()
-    try:
-        yield box
-    finally:
-        box["wall_s"] = round(perf_counter() - start, 6)
 
 
 class RunLedger:
@@ -172,52 +140,6 @@ class RunLedger:
         rows = self.records(kind=kind, key=key)
         return rows[-1] if rows else None
 
-    def find(self, ref: str, kind: Optional[str] = None) -> dict:
-        """Resolve a record reference: an index or a unique ``run_id`` prefix.
-
-        A ref shorter than six characters that parses as an integer is an
-        index (``-1`` = latest, ``0`` = oldest); anything else is a run-id
-        prefix.  Run ids are 12 hex characters and are always printed in
-        full, so a prefix made only of digits (``"123456"``) still names a
-        run."""
-        rows = self.records(kind=kind)
-        if not rows:
-            raise LookupError(f"{self.path}: ledger has no run records")
-        try:
-            index = int(ref) if len(ref) < _MIN_ID_PREFIX else None
-        except ValueError:
-            index = None
-        if index is None:
-            matches = [r for r in rows if r.get("run_id", "").startswith(ref)]
-            if not matches:
-                raise LookupError(f"no ledger record matches run id {ref!r}")
-            if len(matches) > 1:
-                ids = ", ".join(m["run_id"] for m in matches)
-                raise LookupError(f"run id {ref!r} is ambiguous: {ids}")
-            return matches[0]
-        try:
-            return rows[index]
-        except IndexError:
-            raise LookupError(
-                f"ledger index {index} out of range "
-                f"({len(rows)} record{'s' if len(rows) != 1 else ''})"
-            )
-
-    def history(self, paths: Sequence[str], kind: Optional[str] = None,
-                key: Optional[str] = None) -> Dict[str, List[float]]:
-        """Each metric path's value across matching records, oldest first.
-
-        Records missing a path contribute nothing to that path's series
-        (schema evolution must not zero-spike a sparkline)."""
-        series: Dict[str, List[float]] = {path: [] for path in paths}
-        for record in self.records(kind=kind, key=key):
-            flat = shown_metrics(record)
-            for path in paths:
-                value = flat.get(path)
-                if value is not None:
-                    series[path].append(value)
-        return series
-
 
 # ---------------------------------------------------------------------- #
 # Record builders
@@ -227,7 +149,6 @@ def build_study_record(
     config,
     results,
     *,
-    wall_s: float,
     stride: int,
     kind: str = "study",
     preset: Optional[str] = None,
@@ -260,7 +181,5 @@ def build_study_record(
             "profile": profile,
             "fault_seed": fault_seed if profile else None,
         },
-        "wall_s": round(wall_s, 6),
         "headline": results.headline(),
     }
-

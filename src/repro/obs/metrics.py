@@ -20,11 +20,8 @@ uninterrupted one.  Per-day timing lives in ``trace.json``, whose
 disk-tier counter deltas.
 
 Storage is columnar (one list per column) so sampling is O(counters) per
-day and a column feeds :func:`repro.reporting.sparkline.sparkline_row`
-directly.  :meth:`MetricsRecorder.write_jsonl` emits one JSON row per
+day.  :meth:`MetricsRecorder.write_jsonl` emits one JSON row per
 simulated day and nothing else: run provenance goes to ``manifest.json``.
-:meth:`MetricsRecorder.load_jsonl` still returns the leading manifest row
-that files written by earlier versions carry.
 
 Recording reads simulation state and never writes it: studies run with a
 recorder attached produce byte-identical outputs (``tests/test_obs.py``).
@@ -33,8 +30,7 @@ recorder attached produce byte-identical outputs (``tests/test_obs.py``).
 from __future__ import annotations
 
 import json
-import warnings
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.util.atomicio import atomic_write
 from repro.util.perf import PERF
@@ -193,10 +189,6 @@ class MetricsRecorder:
     def __len__(self) -> int:
         return len(self.columns["day"])
 
-    def series(self, name: str) -> List:
-        """One column as a list (sparkline-ready)."""
-        return list(self.columns[name])
-
     def rows(self) -> List[dict]:
         return [
             {name: self.columns[name][i] for name in METRICS_COLUMNS}
@@ -210,51 +202,3 @@ class MetricsRecorder:
                 handle.write(json.dumps({"_type": "sample", **row},
                                         sort_keys=True))
                 handle.write("\n")
-
-    @staticmethod
-    def load_jsonl(path: str) -> Tuple[Optional[dict], List[dict]]:
-        """(manifest or None, sample rows) from a ``metrics.jsonl``; only
-        files written by earlier versions lead with a manifest row."""
-        manifest: Optional[dict] = None
-        rows: List[dict] = []
-        with open(path) as handle:
-            lines = handle.readlines()
-        for lineno, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                if lineno == len(lines) - 1:
-                    # A crash mid-write leaves at most one torn final line;
-                    # tolerate it rather than losing the whole series.
-                    warnings.warn(
-                        f"{path}: skipping torn final line ({len(line)} bytes)",
-                        RuntimeWarning, stacklevel=2,
-                    )
-                    break
-                raise
-            kind = payload.pop("_type", "sample")
-            if kind == "manifest":
-                manifest = payload
-            elif kind == "sample":
-                rows.append(payload)
-        return manifest, rows
-
-    def render_sparklines(self, width: int = 60) -> str:
-        """The key deterministic series as terminal sparklines."""
-        from repro.reporting.sparkline import sparkline_row
-
-        lines = [f"Per-sim-day metrics ({len(self)} days)"]
-        for name in ("psrs", "active_doorways", "labels_active",
-                     "penalties_active", "serps_served"):
-            lines.append(sparkline_row(
-                name, [float(v) for v in self.columns[name]],
-                width=width, as_percent=False,
-            ))
-        lines.append(sparkline_row(
-            "cache_hit_rate", [float(v) for v in self.columns["cache_hit_rate"]],
-            width=width, as_percent=True,
-        ))
-        return "\n".join(lines)

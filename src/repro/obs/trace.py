@@ -3,12 +3,12 @@
 A *span* is one named, nested region of a run — ``study``, ``simulate``,
 one ``day`` (tagged with its sim-date), that day's ``campaigns`` /
 ``interventions`` / ``serps`` / ``traffic`` passes, the measurement
-``crawl``, the ``classify`` stages, an ablation variant.  Each span
+``crawl``, the ``classify`` stages, the ``analysis``.  Each span
 records:
 
 * wall-clock (``perf_counter`` pairs — the same monotonic source the PERF
   registry uses; never the host calendar clock);
-* its tags (``sim_day``, variant names, ...);
+* its tags (``sim_day``, ``pages``, ...);
 * the **PERF counter and timer deltas** that accrued inside it, so the
   always-on registry gains phase structure: the trace tree shows *where
   inside* a ``day`` the ``engine.serp`` / ``web.fetch`` /
@@ -23,16 +23,13 @@ runs stay within a few percent of untraced wall-clock.  Tracing reads no
 simulation state and writes none: traced study outputs are byte-identical
 to untraced ones (pinned in ``tests/test_obs.py``).
 
-Exports:
+Exports, both written by ``python -m repro run --trace``:
 
 * :meth:`Tracer.render` — an aggregated text tree (same-named siblings
-  merge, with call counts), printed by ``python -m repro trace``;
+  merge, with call counts);
 * :meth:`Tracer.chrome_trace` — Chrome/Perfetto ``trace_event`` JSON
-  (open in ``chrome://tracing`` or https://ui.perfetto.dev);
-* :meth:`Tracer.export` / :meth:`Tracer.adopt` — picklable span dicts for
-  forwarding worker-process spans into the parent tracer (the ablation
-  pool forwards each variant's spans in deterministic variant order, the
-  same pattern as its PERF counter merge).
+  (open in ``chrome://tracing`` or https://ui.perfetto.dev), whose event
+  ``args`` carry each span's tags and PERF counter and timer deltas.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ class Span:
 
     __slots__ = (
         "name", "tags", "ts_us", "dur_s", "children", "counters", "timers",
-        "track", "_t0", "_counter_base", "_timer_base",
+        "_t0", "_counter_base", "_timer_base",
     )
 
     def __init__(self, name: str, tags: Dict[str, object]):
@@ -67,8 +64,6 @@ class Span:
         self.counters: Dict[str, int] = {}
         #: PERF timer deltas accrued inside the span: name -> (calls, seconds).
         self.timers: Dict[str, Tuple[int, float]] = {}
-        #: Chrome-trace track (worker spans adopted from a pool get their own).
-        self.track = 0
         self._t0 = 0.0
         self._counter_base: Dict[str, int] = {}
         self._timer_base: Dict[str, Tuple[int, float]] = {}
@@ -114,31 +109,6 @@ class Span:
             if calls - child_calls > 0:
                 out[name] = (calls - child_calls, total - child_total)
         return out
-
-    def to_dict(self) -> dict:
-        """Picklable/JSON-able form (used to forward worker spans)."""
-        return {
-            "name": self.name,
-            "tags": dict(self.tags),
-            "ts_us": self.ts_us,
-            "dur_s": self.dur_s,
-            "counters": dict(self.counters),
-            "timers": {name: list(delta) for name, delta in self.timers.items()},
-            "children": [child.to_dict() for child in self.children],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Span":
-        span = cls(payload["name"], dict(payload.get("tags", {})))
-        span.ts_us = payload.get("ts_us", 0.0)
-        span.dur_s = payload.get("dur_s", 0.0)
-        span.counters = dict(payload.get("counters", {}))
-        span.timers = {
-            name: (int(delta[0]), float(delta[1]))
-            for name, delta in payload.get("timers", {}).items()
-        }
-        span.children = [cls.from_dict(c) for c in payload.get("children", [])]
-        return span
 
     def structure(self) -> tuple:
         """Timing-free shape: (name, tags, child structures).  Two runs of
@@ -213,42 +183,11 @@ class Tracer:
             span._exit()
             self._stack.pop()
 
-    @property
-    def current(self) -> Optional[Span]:
-        return self._stack[-1] if self._stack else None
-
-    # ------------------------------------------------------------------ #
-    # Worker forwarding
-    # ------------------------------------------------------------------ #
-
-    def export(self) -> List[dict]:
-        """The completed root spans as picklable dicts."""
-        return [root.to_dict() for root in self.roots]
-
-    def adopt(self, span_dicts: List[dict], track: int = 0) -> List[Span]:
-        """Attach forwarded spans under the current span (or as roots).
-
-        Workers run in their own processes with their own clocks, so
-        adopted spans keep their original timestamps but move to their own
-        chrome-trace ``track``; callers adopt in a deterministic order
-        (the ablation pool uses submission order) so the merged tree is
-        schedule-independent."""
-        adopted = []
-        for payload in span_dicts:
-            span = Span.from_dict(payload)
-            _set_track(span, track)
-            if self._stack:
-                self._stack[-1].children.append(span)
-            else:
-                self.roots.append(span)
-            adopted.append(span)
-        return adopted
-
     # ------------------------------------------------------------------ #
     # Rendering / export
     # ------------------------------------------------------------------ #
 
-    def render(self, show_timers: bool = True, show_counters: bool = False) -> str:
+    def render(self) -> str:
         """Aggregated text tree: same-named siblings merge with a ``×N``
         call count; PERF timer deltas appear as ``·`` leaf lines at the
         deepest span that exclusively accrued them."""
@@ -257,8 +196,7 @@ class Tracer:
         lines: List[str] = []
         groups = _aggregate(self.roots)
         for i, group in enumerate(groups):
-            _render_group(group, "", i == len(groups) - 1, None, lines,
-                          show_timers, show_counters)
+            _render_group(group, "", i == len(groups) - 1, None, lines)
         return "\n".join(lines)
 
     def chrome_trace(self, manifest: Optional[dict] = None) -> dict:
@@ -287,16 +225,6 @@ class Tracer:
             json.dump(self.chrome_trace(manifest), handle, indent=1, sort_keys=True)
             handle.write("\n")
 
-    def total_s(self) -> float:
-        """Summed duration of the root spans (≈ traced wall-clock)."""
-        return sum(root.dur_s for root in self.roots)
-
-
-def _set_track(span: Span, track: int) -> None:
-    span.track = track
-    for child in span.children:
-        _set_track(child, track)
-
 
 def _emit_events(span: Span, events: List[dict]) -> None:
     args: Dict[str, object] = {str(k): v for k, v in span.tags.items()}
@@ -311,7 +239,7 @@ def _emit_events(span: Span, events: List[dict]) -> None:
         "ts": round(span.ts_us, 1),
         "dur": round(span.dur_s * 1e6, 1),
         "pid": 0,
-        "tid": span.track,
+        "tid": 0,
         "cat": "repro",
         "args": args,
     })
@@ -322,7 +250,7 @@ def _emit_events(span: Span, events: List[dict]) -> None:
 class _Group:
     """Same-named sibling spans merged for the text rendering."""
 
-    __slots__ = ("name", "count", "dur_s", "children", "timers", "counters", "tags")
+    __slots__ = ("name", "count", "dur_s", "children", "timers", "tags")
 
     def __init__(self, name: str):
         self.name = name
@@ -330,7 +258,6 @@ class _Group:
         self.dur_s = 0.0
         self.children: List[Span] = []
         self.timers: Dict[str, Tuple[int, float]] = {}
-        self.counters: Dict[str, int] = {}
         #: Tag summary: first span's tags (day ranges collapse to first..last).
         self.tags: Dict[str, object] = {}
 
@@ -350,8 +277,6 @@ def _aggregate(spans: List[Span]) -> List["_Group"]:
         for name, (calls, total) in span.exclusive_timers().items():
             calls0, total0 = group.timers.get(name, (0, 0.0))
             group.timers[name] = (calls0 + calls, total0 + total)
-        for name, value in span.counters.items():
-            group.counters[name] = group.counters.get(name, 0) + value
     return [groups[name] for name in order]
 
 
@@ -361,8 +286,6 @@ def _render_group(
     last: bool,
     parent_dur: Optional[float],
     lines: List[str],
-    show_timers: bool,
-    show_counters: bool,
 ) -> None:
     if parent_dur is None:
         connector = ""
@@ -382,22 +305,16 @@ def _render_group(
         f"{prefix}{connector}{label:<{max(1, 36 - len(prefix) - len(connector))}}"
         f"{group.dur_s:9.3f}s{share}{tag_text}"
     )
+    for name, (calls, total) in sorted(
+            group.timers.items(), key=lambda kv: -kv[1][1]):
+        lines.append(
+            f"{child_prefix}· {name:<{max(1, 34 - len(child_prefix))}}"
+            f"{total:9.3f}s  ({calls:,} calls)"
+        )
     child_groups = _aggregate(group.children)
-    extras: List[str] = []
-    if show_timers:
-        for name, (calls, total) in sorted(
-                group.timers.items(), key=lambda kv: -kv[1][1]):
-            extras.append(
-                f"{child_prefix}· {name:<{max(1, 34 - len(child_prefix))}}"
-                f"{total:9.3f}s  ({calls:,} calls)"
-            )
-    if show_counters:
-        for name, value in sorted(group.counters.items()):
-            extras.append(f"{child_prefix}· {name} = {value:,}")
-    lines.extend(extras)
     for i, child in enumerate(child_groups):
         _render_group(child, child_prefix, i == len(child_groups) - 1,
-                      group.dur_s, lines, show_timers, show_counters)
+                      group.dur_s, lines)
 
 
 #: The process-global tracer every instrumented path reports into.

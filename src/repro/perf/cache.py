@@ -28,9 +28,9 @@ Layers built on this module:
   from :class:`LRUCache`.
 
 Every cache reports ``cache.<name>.hit`` / ``.miss`` / ``.evict`` counters
-into the :data:`repro.util.perf.PERF` registry, so ``repro trace
---counters`` shows each span's hits and misses, ``metrics.jsonl`` a daily
-hit rate, and perfbench each cache's hit ratio.
+into the :data:`repro.util.perf.PERF` registry, so ``trace.json``'s span
+events carry each span's hits and misses, ``metrics.jsonl`` a daily hit
+rate, and perfbench each cache's hit ratio.
 
 The whole layer can be switched off — :func:`set_caches_enabled`,
 the :func:`caches_disabled` context manager, or ``REPRO_CACHE=0`` in the

@@ -7,11 +7,7 @@ that output readable in a terminal without plotting dependencies.
 from repro.reporting.tables import render_table
 from repro.reporting.sparkline import sparkline, sparkline_row
 from repro.reporting.series import series_to_csv, stacked_to_csv
-from repro.reporting.drift import (
-    render_drift_table,
-    render_history,
-    render_record_diff,
-)
+from repro.reporting.drift import render_drift_table
 
 __all__ = [
     "render_table",
@@ -20,6 +16,4 @@ __all__ = [
     "series_to_csv",
     "stacked_to_csv",
     "render_drift_table",
-    "render_history",
-    "render_record_diff",
 ]

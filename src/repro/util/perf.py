@@ -56,8 +56,7 @@ class PerfRegistry:
     def handle(self, name: str) -> TimerStat:
         """A persistent TimerStat for zero-lookup hot-path timing: hold the
         handle and call ``stat.add(elapsed)`` around ``perf_counter()``
-        directly.  Handles survive :meth:`reset` (stats are zeroed in
-        place)."""
+        directly."""
         stat = self._timers.get(name)
         if stat is None:
             stat = self._timers[name] = TimerStat()
@@ -65,13 +64,6 @@ class PerfRegistry:
 
     def count(self, name: str, n: int = 1) -> None:
         self._counters[name] = self._counters.get(name, 0) + n
-
-    def reset(self) -> None:
-        # Zero in place so hot-path handles stay valid across resets.
-        for stat in self._timers.values():
-            stat.calls = 0
-            stat.total = 0.0
-        self._counters.clear()
 
     # ------------------------------------------------------------------ #
 

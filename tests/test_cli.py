@@ -38,6 +38,14 @@ class TestRunCommand:
         assert len(dataset) > 0
         assert dataset.verticals()
 
+    def test_resume_without_checkpoint_is_a_usage_error(self, tmp_path,
+                                                        capsys):
+        out = str(tmp_path / "study")
+        assert main(["run", "--preset", "small", "--resume",
+                     "--out", out]) == 2
+        assert "--resume requires --checkpoint" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_run_seed_changes_world(self, tmp_path):
         out_a = str(tmp_path / "a")
         out_b = str(tmp_path / "b")
@@ -51,33 +59,15 @@ class TestRunCommand:
 
 
 class TestTraceCommands:
-    def test_trace_prints_tree_and_writes_exports(self, tmp_path, capsys,
-                                                  tracing_off_after):
-        trace_path = str(tmp_path / "trace.json")
-        metrics_path = str(tmp_path / "metrics.jsonl")
-        code = main(["trace", "--preset", "small", "--stride", "2",
-                     "--json", trace_path, "--metrics", metrics_path])
-        assert code == 0
-        stdout = capsys.readouterr().out
-        assert "study" in stdout
-        assert "simulate" in stdout
-        assert "wall-clock" in stdout
-        with open(trace_path) as handle:
-            payload = json.load(handle)
-        assert payload["traceEvents"]
-        assert payload["otherData"]["manifest"]["package"] == "repro"
-        from repro.obs.metrics import MetricsRecorder
-
-        manifest, rows = MetricsRecorder.load_jsonl(metrics_path)
-        assert manifest is None  # provenance rides in trace.json only
-        assert rows
-
-    def test_run_trace_writes_trace_artifacts(self, tmp_path,
+    def test_run_trace_writes_trace_artifacts(self, tmp_path, capsys,
                                               tracing_off_after):
         out = str(tmp_path / "study")
         code = main(["run", "--preset", "small", "--stride", "3",
                      "--trace", "--out", out])
         assert code == 0
+        stdout = capsys.readouterr().out
+        assert "study" in stdout
+        assert "simulate" in stdout
         for name in ("trace.json", "manifest.json", "metrics.jsonl",
                      "psrs.jsonl"):
             assert os.path.getsize(os.path.join(out, name)) > 0, name
@@ -147,6 +137,18 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--preset", "small"],
+        ["history", "--ledger", "ledger.jsonl"],
+        ["compare", "0", "-1"],
+    ])
+    def test_retired_commands_rejected(self, argv):
+        # `run --trace` is the one traced-study command; the ledger's one
+        # reader is `gate`.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_command_required(self):
         with pytest.raises(SystemExit):

@@ -42,7 +42,6 @@ from repro.faults.injector import (
 )
 from repro.faults.profiles import FaultProfile, PROFILES
 from repro.faults.retry import FAULT_CIRCUIT_OPEN
-from repro.obs.metrics import MetricsRecorder
 from repro.study import StudyRun
 from repro.util.atomicio import atomic_write
 from repro.util.simtime import SimDate
@@ -329,20 +328,6 @@ class TestTornTailTolerance(unittest.TestCase):
             Path(path).write_text("\n".join(lines) + "\n")
             with self.assertRaises(json.JSONDecodeError):
                 PsrDataset.load_jsonl(path)
-
-    def test_metrics_torn_tail_skipped(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "metrics.jsonl")
-            with open(path, "w") as handle:
-                handle.write(json.dumps({"_type": "sample", "day": "d"}) + "\n")
-                handle.write('{"_type": "sam')
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                manifest, rows = MetricsRecorder.load_jsonl(path)
-            self.assertIsNone(manifest)
-            self.assertEqual(len(rows), 1)
-            self.assertTrue(any("torn final line" in str(w.message)
-                                for w in caught))
 
 
 class TestGapTolerantAnalysis(unittest.TestCase):
